@@ -21,7 +21,6 @@ from .clt_theory import CovarianceValue, resolvent_covariance, variance_positivi
 from .errors import (
     AnisompError,
     NearSingular,
-    NonConvergence,
     OutsideDomain,
     ResolventDegenerate,
 )
@@ -29,10 +28,12 @@ from .estimators import estimate_population_eigenvalue, estimate_spike_strength,
 from .experiments import REPRODUCIBLE_NAMES, reproduce
 from .io import read_matrix
 from .mp_law import (
+    DEFAULT_SOLVER,
     PopulationSpectrum,
-    density_rho2c,
+    _outside_edges,
     read_spectrum_file,
     solve_m2c,
+    support_edges,
     support_structure,
 )
 from .populations import EntryDistribution, FourthCumulantProfile, Population, PopulationModel
@@ -66,6 +67,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:step:stop, got {spec!r}")
     start, step, stop = (float(p) for p in parts)
+    if step == 0.0:
+        raise ValueError(f"grid step must be nonzero, got {spec!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(count)
 
@@ -108,6 +111,7 @@ def _emit(args, text: str) -> None:
 def cmd_mp_law(args) -> int:
     try:
         pop = _load_spectrum(args)
+        energies = _parse_grid(args.grid) if args.grid else None
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -119,18 +123,30 @@ def cmd_mp_law(args) -> int:
                 payload = {"edges": payload["edges"]}
             _emit(args, json.dumps(payload, indent=2))
             return EXIT_OK
-        if not args.grid:
+        if energies is None:
             print("error: provide --grid or --edges-only", file=sys.stderr)
             return EXIT_PARSE
-        energies = _parse_grid(args.grid)
+        omega = DEFAULT_SOLVER.omega
+        too_low = energies[np.abs(energies) < omega] if args.eta == 0.0 else ()
+        if len(too_low):
+            print(f"placement error: grid point E = {too_low[0]:.12g} has |E| < omega = {omega}",
+                  file=sys.stderr)
+            return EXIT_PLACEMENT
+        edges = support_edges(pop) if args.eta == 0.0 else ()
         lines = ["E,rho2c,re_m,im_m"]
         for E in energies:
-            val = solve_m2c(complex(E, args.eta), pop)
-            rho = density_rho2c(E, pop) if args.eta == 0.0 else val.m.imag / math.pi
-            lines.append(f"{E:.12g},{rho:.12g},{val.m.real:.12g},{val.m.imag:.12g}")
+            m = solve_m2c(complex(E, args.eta), pop).m
+            if args.eta > 0.0:
+                rho = m.imag / math.pi
+            else:  # the boundary density, as density_rho2c gives it
+                rho = 0.0 if _outside_edges(E, edges) else max(m.imag / math.pi, 0.0)
+            lines.append(f"{E:.12g},{rho:.12g},{m.real:.12g},{m.imag:.12g}")
         _emit(args, "\n".join(lines))
         return EXIT_OK
-    except (NonConvergence, AnisompError) as exc:
+    except ValueError as exc:  # e.g. |d - 1| < tau for the whole support
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except AnisompError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -468,22 +468,24 @@ def _contraction_grid(
     ma: np.ndarray,
     mb: np.ndarray,
 ) -> np.ndarray:
-    """C(ma_i, mb_j) = v1^T Sigma (1+ma_i Sigma)^{-1} (1+mb_j Sigma)^{-1} v2."""
+    """C(ma_i, mb_j) = v1^T Sigma (1+ma_i Sigma)^{-1} (1+mb_j Sigma)^{-1} v2.
+
+    A sum over the distinct eigenvalues sigma_k, so the whole grid is one
+    product of (len(ma), k) and (k, len(mb)) factors.
+    """
     sig, wts = pop.model.pair_weights(v1, v2)
-    out = np.zeros((len(ma), len(mb)), dtype=complex)
-    for s, wgt in zip(sig, wts):
-        out += (wgt * s) / np.multiply.outer(1.0 + ma * s, 1.0 + mb * s)
-    return out
+    left = (wts * sig) / (1.0 + np.multiply.outer(ma, sig))
+    right = 1.0 / (1.0 + np.multiply.outer(mb, sig))
+    return left @ right.T
 
 
 def _contraction_diag(
     pop: Population, v1: np.ndarray, v2: np.ndarray, ma: np.ndarray, mb: np.ndarray
 ) -> np.ndarray:
+    """C(ma_i, mb_i) for paired entries of ma and mb."""
     sig, wts = pop.model.pair_weights(v1, v2)
-    out = np.zeros(len(ma), dtype=complex)
-    for s, wgt in zip(sig, wts):
-        out += (wgt * s) / ((1.0 + ma * s) * (1.0 + mb * s))
-    return out
+    denom = (1.0 + np.multiply.outer(ma, sig)) * (1.0 + np.multiply.outer(mb, sig))
+    return np.sum((wts * sig) / denom, axis=1)
 
 
 def linear_stat_covariance(

@@ -186,22 +186,28 @@ class SupportStructure:
 # atoms and elementary pieces of the self-consistent equation
 
 
+def _tie_starts(ascending: np.ndarray) -> np.ndarray:
+    """Indices in an ascending array where a new atom starts.
+
+    A value within relative 1e-12 of its predecessor (relative to
+    max(value, 1)) ties with it: this absorbs exact ties plus the
+    floating-point scatter of eigensolver output.
+    """
+    ascending = np.asarray(ascending, dtype=float)
+    gaps = np.diff(ascending) > 1e-12 * np.maximum(ascending[1:], 1.0)
+    return np.concatenate([[0], np.nonzero(gaps)[0] + 1])
+
+
 @lru_cache(maxsize=256)
 def _atoms(pop: PopulationSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """Distinct nonzero eigenvalues and their weights count/n.
 
-    Ties within relative 1e-12 are merged into one weighted atom (exact ties
-    plus the floating-point scatter of eigensolver output); zero eigenvalues
-    drop out of the equation entirely, so weights sum to the nonzero
-    fraction.
+    Ties (see ``_tie_starts``) are merged into one weighted atom; zero
+    eigenvalues drop out of the equation entirely, so weights sum to the
+    nonzero fraction.
     """
     vals = np.asarray(sorted(v for v in pop.eigenvalues if v > 0.0))
-    groups: list[list[float]] = [[vals[0]]]
-    for v in vals[1:]:
-        if v - groups[-1][-1] <= 1e-12 * max(v, 1.0):
-            groups[-1].append(v)
-        else:
-            groups.append([v])
+    groups = np.split(vals, _tie_starts(vals)[1:])
     merged = np.array([float(np.mean(g)) for g in groups])
     weights = np.array([len(g) for g in groups], dtype=float) / pop.n
     order = np.argsort(merged)[::-1]
@@ -320,6 +326,85 @@ def _solve_ladder(
     return m, res
 
 
+def _defect_grid(
+    m: np.ndarray, z: np.ndarray, d: float, vals: np.ndarray, wts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """h(m) of ``_defect`` and its derivative, for arrays of m and z."""
+    r = 1.0 / (1.0 + np.multiply.outer(m, vals))
+    h = 1.0 / m + z - d * (r @ (wts * vals))
+    hp = -1.0 / m**2 + d * ((r * r) @ (wts * vals**2))
+    return h, hp
+
+
+def _newton_grid(
+    m: np.ndarray,
+    z: np.ndarray,
+    d: float,
+    vals: np.ndarray,
+    wts: np.ndarray,
+    tol: float,
+    max_steps: int = 60,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_newton_steps`` on arrays: each point steps until |m h(m)| <= tol."""
+    m = m.copy()
+    h, hp = _defect_grid(m, z, d, vals, wts)
+    res = np.abs(m * h)
+    live = np.nonzero(~(res <= tol))[0]
+    with np.errstate(all="ignore"):  # a diverging point stops once non-finite
+        for _ in range(max_steps):
+            if live.size == 0:
+                break
+            ml = m[live] - h[live] / hp[live]
+            m[live] = ml
+            h[live], hp[live] = _defect_grid(ml, z[live], d, vals, wts)
+            res[live] = np.abs(ml * h[live])
+            live = live[~(res[live] <= tol) & np.isfinite(res[live])]
+    return m, res
+
+
+def _solve_ladder_grid(
+    energies: np.ndarray,
+    eta: float,
+    d: float,
+    vals: np.ndarray,
+    wts: np.ndarray,
+    cfg: SolverConfig,
+) -> np.ndarray:
+    """``_solve_ladder`` at E + i*eta for a whole array of E at once.
+
+    Every point descends the same rungs: the damped fixed point at E + i,
+    then Newton at each rung max(0.2 * rung, eta), vectorised over the points
+    not yet converged.  A point that misses the residual tolerance on any
+    rung, or ends below the real axis, is re-solved alone by
+    ``_solve_ladder``.
+    """
+    E = np.asarray(energies, dtype=float)
+    z = E + 1j
+    m = -1.0 / z
+    live = np.arange(E.size)
+    for _ in range(cfg.max_iter):
+        if live.size == 0:
+            break
+        ml = m[live]
+        avg = (1.0 / (1.0 + np.multiply.outer(ml, vals))) @ (wts * vals)
+        step = 1.0 / (-z[live] + d * avg) - ml
+        moving = ~(np.abs(step) <= cfg.newton_switch * np.maximum(1.0, np.abs(ml)))
+        m[live[moving]] = ml[moving] + cfg.damping * step[moving]
+        live = live[moving & np.isfinite(step)]
+    m, res = _newton_grid(m, z, d, vals, wts, cfg.residual_tol)
+    failed = ~(res <= cfg.residual_tol)
+    rung = 1.0
+    while rung > eta:
+        rung = max(rung * 0.2, eta)
+        z = E + 1j * rung
+        m, res = _newton_grid(m, z, d, vals, wts, cfg.residual_tol)
+        failed |= ~(res <= cfg.residual_tol)
+    failed |= m.imag < -1e-12
+    for k in np.nonzero(failed)[0]:
+        m[k] = _solve_ladder(complex(E[k], eta), d, vals, wts, cfg)[0]
+    return m
+
+
 def _check_branch(z: complex, m: complex) -> None:
     if z.imag > 0:
         if m.imag < -1e-12:
@@ -426,6 +511,34 @@ def solve_m2c_grid(
         m, _ = _solve_ladder(zz, d, vals, wts, config)
         out[k] = m
     return out
+
+
+def _solve_panels(
+    energies: np.ndarray,
+    eta: float,
+    pop: PopulationSpectrum,
+    config: SolverConfig = DEFAULT_SOLVER,
+) -> np.ndarray:
+    """``solve_m2c_grid`` on a (rows, cols) array whose rows ascend in E.
+
+    The warm-start march runs along all rows at once: the first column comes
+    from ``_solve_ladder_grid``, and each later column from Newton started
+    at the column before it, with the ladder where that fails.  One last
+    Newton step polishes every point.
+    """
+    E = np.asarray(energies, dtype=float)
+    vals, wts = _atoms(pop)
+    d = pop.aspect_ratio
+    m = np.empty(E.shape, dtype=complex)
+    m[:, 0] = _solve_ladder_grid(E[:, 0], eta, d, vals, wts, config)
+    for j in range(1, E.shape[1]):
+        z = E[:, j] + 1j * eta
+        m[:, j], res = _newton_grid(m[:, j - 1], z, d, vals, wts, config.residual_tol)
+        bad = ~(res <= config.residual_tol) | (m[:, j].imag < -1e-12)
+        if bad.any():
+            m[bad, j] = _solve_ladder_grid(E[bad, j], eta, d, vals, wts, config)
+    h, hp = _defect_grid(m, E + 1j * eta, d, vals, wts)
+    return m - h / hp
 
 
 def m2c_derivative(
@@ -557,42 +670,41 @@ class _BulkQuadrature:
     """Composite Gauss data for one bulk, in the arcsine variable t.
 
     x(t) = mid + half*sin(t) removes the square-root edge singularities, so a
-    modest composite Gauss rule reaches the 1e-9 mass tolerance.
+    modest composite Gauss rule reaches the 1e-9 mass tolerance.  On panel k,
+    t = (t_k + t_{k+1})/2 + s*(t_{k+1} - t_k)/2 with s in [-1, 1], and the
+    integrand rho(x(t)) x'(t) is the degree-15 Legendre series in s with
+    coefficients ``coeffs[k]``: the interpolant through its values at the 16
+    Gauss nodes the quadrature already solved at.  Integrating that series
+    gives the mass below any x without another solve.
     """
 
     lo: float
     hi: float
     t_bounds: np.ndarray  # panel boundaries in t
     cum_mass: np.ndarray  # cumulative integral of rho at panel boundaries
+    coeffs: np.ndarray  # (panels, 16) Legendre coefficients of the integrand in s
     mass: float
 
     def x_of_t(self, t: np.ndarray | float) -> np.ndarray | float:
         mid, half = 0.5 * (self.lo + self.hi), 0.5 * (self.hi - self.lo)
         return mid + half * np.sin(t)
 
-    def t_of_x(self, x: float) -> float:
-        mid, half = 0.5 * (self.lo + self.hi), 0.5 * (self.hi - self.lo)
-        return math.asin(min(1.0, max(-1.0, (x - mid) / half)))
-
 
 def _bulk_mass_panels(
     pop: PopulationSpectrum, lo: float, hi: float, panels: int, cfg: SolverConfig
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     nodes, weights = _gl(16)
     t_bounds = np.linspace(-math.pi / 2, math.pi / 2, panels + 1)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    t_all = np.concatenate(
-        [0.5 * (a + b) + 0.5 * (b - a) * nodes for a, b in zip(t_bounds[:-1], t_bounds[1:])]
-    )
-    x_all = mid + half * np.sin(t_all)
-    m_all = solve_m2c_grid(x_all, cfg.eta0, pop, cfg)
-    rho_all = np.maximum(m_all.imag, 0.0) / math.pi
-    jac = half * np.cos(t_all)
-    per_panel = (rho_all * jac).reshape(panels, -1) @ weights * (
-        0.5 * (t_bounds[1:] - t_bounds[:-1])
-    )
+    # (panels, 16): row k holds panel k's Gauss nodes, ascending in t and x
+    t_all = 0.5 * (t_bounds[:-1] + t_bounds[1:])[:, None] + 0.5 * np.diff(t_bounds)[:, None] * nodes
+    m_all = _solve_panels(mid + half * np.sin(t_all), cfg.eta0, pop, cfg)
+    integrand = np.maximum(m_all.imag, 0.0) / math.pi * (half * np.cos(t_all))
+    per_panel = integrand @ weights * (0.5 * (t_bounds[1:] - t_bounds[:-1]))
     cum = np.concatenate([[0.0], np.cumsum(per_panel)])
-    return t_bounds, cum, float(cum[-1])
+    # Gauss projection onto P_0..P_15 is exact for the degree-15 interpolant
+    proj = weights[:, None] * np.polynomial.legendre.legvander(nodes, 15) * (np.arange(16) + 0.5)
+    return t_bounds, cum, integrand @ proj, float(cum[-1])
 
 
 @lru_cache(maxsize=64)
@@ -603,42 +715,28 @@ def _bulk_quadratures(pop: PopulationSpectrum) -> tuple[_BulkQuadrature, ...]:
     for k in range(len(edges) // 2):
         hi, lo = edges[2 * k], edges[2 * k + 1]
         panels = 64
-        t_b, cum, mass = _bulk_mass_panels(pop, lo, hi, panels, cfg)
+        t_b, cum, coeffs, mass = _bulk_mass_panels(pop, lo, hi, panels, cfg)
         while panels < 1024:
-            t_b2, cum2, mass2 = _bulk_mass_panels(pop, lo, hi, panels * 2, cfg)
+            t_b2, cum2, coeffs2, mass2 = _bulk_mass_panels(pop, lo, hi, panels * 2, cfg)
             if abs(mass2 - mass) <= 1e-9:
-                t_b, cum, mass = t_b2, cum2, mass2
+                t_b, cum, coeffs, mass = t_b2, cum2, coeffs2, mass2
                 break
             panels *= 2
-            t_b, cum, mass = t_b2, cum2, mass2
-        out.append(_BulkQuadrature(lo=lo, hi=hi, t_bounds=t_b, cum_mass=cum, mass=mass))
+            t_b, cum, coeffs, mass = t_b2, cum2, coeffs2, mass2
+        out.append(
+            _BulkQuadrature(lo=lo, hi=hi, t_bounds=t_b, cum_mass=cum, coeffs=coeffs, mass=mass)
+        )
     return tuple(out)
 
 
-def _mass_below(bulk: _BulkQuadrature, x: float, pop: PopulationSpectrum, cfg: SolverConfig) -> float:
-    """Integral of rho over [bulk.lo, x] using the cached panel prefix sums."""
-    t = bulk.t_of_x(x)
-    idx = int(np.searchsorted(bulk.t_bounds, t) - 1)
-    idx = min(max(idx, 0), len(bulk.t_bounds) - 2)
-    a = bulk.t_bounds[idx]
-    nodes, weights = _gl(20)
-    tt = 0.5 * (a + t) + 0.5 * (t - a) * nodes
-    xx = np.asarray(bulk.x_of_t(tt))
-    order = np.argsort(xx)
-    m = np.empty_like(xx, dtype=complex)
-    m[order] = solve_m2c_grid(xx[order], cfg.eta0, pop, cfg)
-    rho = np.maximum(m.imag, 0.0) / math.pi
-    mid, half = 0.5 * (bulk.lo + bulk.hi), 0.5 * (bulk.hi - bulk.lo)
-    jac = half * np.cos(tt)
-    return float(bulk.cum_mass[idx] + 0.5 * (t - a) * np.sum(weights * rho * jac))
+def support_structure(pop: PopulationSpectrum, N: int) -> SupportStructure:
+    """Edges, bulk masses/counts and classical locations for sample size N.
 
-
-def support_structure(
-    pop: PopulationSpectrum,
-    N: int,
-    config: SolverConfig = DEFAULT_SOLVER,
-) -> SupportStructure:
-    """Edges, bulk masses/counts and classical locations for sample size N."""
+    Edges and the per-bulk quadratures are cached per spectrum.  Classical
+    locations invert the cumulative mass through the quadrature's panel
+    polynomials (see ``_BulkQuadrature``), so once a spectrum's quadratures
+    exist, any N costs no further solves of the self-consistent equation.
+    """
     d = pop.aspect_ratio
     tau = pop.regularity_margin
     if abs(d - 1.0) < tau:
@@ -655,24 +753,20 @@ def support_structure(
     K = min(n, N)
     # Descending classical locations: 1 - F(gamma_j) = (j - 1/2)/N, so the
     # mass above gamma_j inside the bulks equals (j - 1/2)/N.
-    gammas = np.empty(K)
+    gammas = []
     tail_above = 0.0  # mass above the current bulk
     j = 1
     for b in bulks:  # bulks come ordered top-down
-        while j <= K:
-            target_above = (j - 0.5) / N
-            within = target_above - tail_above  # mass between gamma and b.hi
-            if within > b.mass:
-                break
-            target_below = b.mass - within  # mass in [lo, gamma]
-            gammas[j - 1] = _invert_mass(b, target_below, pop, config)
-            j += 1
+        within = (np.arange(j, K + 1) - 0.5) / N - tail_above  # mass in [gamma, b.hi]
+        within = within[: int(np.searchsorted(within, b.mass, side="right"))]
+        gammas.append(_invert_mass(b, b.mass - within))  # mass in [lo, gamma]
+        j += len(within)
         tail_above += b.mass
     if j <= K:
         raise NonConvergence(
             f"classical locations exhausted the support mass at j={j} (K={K})"
         )
-    gam = tuple(float(g) for g in gammas)
+    gam = tuple(float(g) for g in np.concatenate(gammas))
     return SupportStructure(
         edges=edges,
         bulk_masses=masses,
@@ -682,48 +776,40 @@ def support_structure(
     )
 
 
-def _invert_mass(
-    bulk: _BulkQuadrature, target: float, pop: PopulationSpectrum, cfg: SolverConfig
-) -> float:
-    """Safeguarded Newton for the x with mass([lo, x]) = target.
+def _invert_mass(bulk: _BulkQuadrature, targets: np.ndarray) -> np.ndarray:
+    """The x with mass([lo, x]) = target, for each target.
 
-    The panel prefix sums give the bracket and the starting point; Newton
-    uses the exact density as derivative, falling back to bisection whenever
-    a step leaves the bracket.  Terminates at 1e-10 in x.
+    The prefix sums pick the panel holding each target; inside it, the mass
+    below is cum_mass + (panel half-width) * integral of the panel's Legendre
+    series, and safeguarded Newton solves for the local variable s (the
+    series itself is the derivative).  A step leaving the bracket bisects.
     """
-    lo, hi = bulk.lo, bulk.hi
-    if target <= 0.0:
-        return lo
-    if target >= bulk.mass:
-        return hi
-    idx = int(np.searchsorted(bulk.cum_mass, target)) - 1
-    idx = min(max(idx, 0), len(bulk.t_bounds) - 2)
-    a = float(np.asarray(bulk.x_of_t(bulk.t_bounds[idx])))
-    b = float(np.asarray(bulk.x_of_t(bulk.t_bounds[idx + 1])))
-    a, b = min(a, b), max(a, b)
-    frac = (target - bulk.cum_mass[idx]) / max(
-        bulk.cum_mass[idx + 1] - bulk.cum_mass[idx], 1e-300
-    )
-    x = a + frac * (b - a)
-    for _ in range(60):
-        f = _mass_below(bulk, x, pop, cfg) - target
-        if f > 0:
-            b = x
-        else:
-            a = x
-        if b - a < 1e-10:
+    leg = np.polynomial.legendre
+    targets = np.asarray(targets, dtype=float)
+    idx = np.clip(np.searchsorted(bulk.cum_mass, targets) - 1, 0, len(bulk.t_bounds) - 2)
+    t_a, t_b = bulk.t_bounds[idx], bulk.t_bounds[idx + 1]
+    hw = 0.5 * (t_b - t_a)
+    dens = bulk.coeffs[idx].T  # (16, K): column k is target k's panel series
+    prim = leg.legint(dens, lbnd=-1.0)  # integral from s = -1
+    goal = (targets - bulk.cum_mass[idx]) / hw
+    lo_s, hi_s = np.full(targets.shape, -1.0), np.full(targets.shape, 1.0)
+    panel_goal = np.maximum(bulk.cum_mass[idx + 1] - bulk.cum_mass[idx], 1e-300) / hw
+    s = np.clip(2.0 * goal / panel_goal - 1.0, -1.0, 1.0)  # linear start
+    for _ in range(100):
+        f = leg.legval(s, prim, tensor=False) - goal
+        lo_s = np.where(f <= 0.0, s, lo_s)
+        hi_s = np.where(f > 0.0, s, hi_s)
+        fp = leg.legval(s, dens, tensor=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_new = s - f / fp
+        bad = ~((lo_s <= s_new) & (s_new <= hi_s))  # also catches fp <= 0
+        s_new = np.where(bad, 0.5 * (lo_s + hi_s), s_new)
+        step = np.abs(s_new - s)
+        s = s_new
+        if np.all((step <= 1e-15) | (hi_s - lo_s <= 1e-15)):
             break
-        rho = max(
-            solve_m2c_grid(np.array([x]), cfg.eta0, pop, cfg)[0].imag / math.pi, 0.0
-        )
-        x_new = x - f / rho if rho > 0 else 0.5 * (a + b)
-        if not a < x_new < b:
-            x_new = 0.5 * (a + b)
-        if abs(x_new - x) < 1e-11:
-            x = x_new
-            break
-        x = x_new
-    return x
+    x = np.asarray(bulk.x_of_t(t_a + hw * (s + 1.0)))
+    return np.where(targets <= 0.0, bulk.lo, np.where(targets >= bulk.mass, bulk.hi, x))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mp_law import PopulationSpectrum
+from .mp_law import PopulationSpectrum, _tie_starts
 
 __all__ = [
     "FourthCumulantProfile",
@@ -130,6 +130,7 @@ class PopulationModel:
                 raise ValueError("matrix must be symmetric (n, n)")
             self.matrix = 0.5 * (A + A.T)
         self._eig_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._atom_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._sqrt_cache: np.ndarray | None = None
 
     # -- constructors -------------------------------------------------------
@@ -247,24 +248,42 @@ class PopulationModel:
         sig, w = self.pair_weights(v1, v2)
         return complex(np.sum(w / (1.0 + m * sig)))
 
+    def _atom_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sort order of the eigenvalues of a diagonal or general Sigma, the
+        start of each run of tied eigenvalues in that order, and each run's
+        mean: the distinct atoms, tied by the rule the solver's atoms use."""
+        if self._atom_cache is None:
+            raw = self.diagonal if self.kind == "diagonal" else self._eig()[0]
+            order = np.argsort(raw, kind="stable")
+            vals = raw[order]
+            starts = _tie_starts(vals)
+            counts = np.diff(np.append(starts, len(vals)))
+            self._atom_cache = (order, starts, np.add.reduceat(vals, starts) / counts)
+        return self._atom_cache
+
     def pair_weights(self, v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalue atoms sigma_k with weights sum_{i in k} (U^T v1)_i (U^T v2)_i.
 
         Quadratic forms in matrix functions of Sigma reduce to sums over
-        these pairs; for unit v1 = v2 the weights sum to one.
+        these pairs; for unit v1 = v2 the weights sum to one.  Tied
+        eigenvalues form one atom, so the number of pairs is the number of
+        distinct eigenvalues.
         """
         if self.kind == "identity":
             return np.array([1.0]), np.array([float(v1 @ v2)])
-        if self.kind == "diagonal":
-            return self.diagonal, v1 * v2
         if self.kind == "spiked":
             c1 = self.spike_vectors.T @ v1
             c2 = self.spike_vectors.T @ v2
             sig = np.concatenate([1.0 + np.asarray(self.spike_strengths), [1.0]])
             w = np.concatenate([c1 * c2, [float(v1 @ v2) - float(c1 @ c2)]])
             return sig, w
-        vals, U = self._eig()
-        return vals, (U.T @ v1) * (U.T @ v2)
+        if self.kind == "diagonal":
+            prod = v1 * v2
+        else:
+            U = self._eig()[1]
+            prod = (U.T @ v1) * (U.T @ v2)
+        order, starts, sig = self._atom_groups()
+        return sig, np.add.reduceat(prod[order], starts)
 
     def aniso_pairs(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.pair_weights(v, v)

@@ -79,6 +79,38 @@ class TestMpLaw:
         assert code == 0
 
 
+    def test_grid_csv_is_per_point_solve_and_density(self, tmp_path, capsys):
+        out_file = tmp_path / "grid.csv"
+        code, _, _ = run_cli(
+            ["mp-law", "--identity", "--d", "0.5", "--grid", "0.02:0.07:3.8",
+             "--out", str(out_file)],
+            capsys,
+        )
+        assert code == 0
+        pop = a.PopulationSpectrum.identity(50, 0.5)  # --n defaults to d * 100
+        lines = ["E,rho2c,re_m,im_m"]
+        for E in 0.02 + 0.07 * np.arange(55):  # both edges lie inside the grid
+            m = a.solve_m2c(complex(E, 0.0), pop).m
+            rho = a.density_rho2c(E, pop)
+            lines.append(f"{E:.12g},{rho:.12g},{m.real:.12g},{m.imag:.12g}")
+        assert out_file.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--identity", "--d", "0.5", "--grid", "0:0.5:1"], 4),  # E = 0 < omega
+            (["--identity", "--d", "1.0", "--edges-only", "--N", "10"], 2),  # |d - 1| < tau
+            (["--identity", "--d", "0.5", "--grid", "1:0:2"], 2),  # zero step
+        ],
+    )
+    def test_bad_input_exit_codes(self, argv, code, capsys):
+        got, out, err = run_cli(["mp-law", *argv], capsys)
+        assert got == code
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+
 class TestCltKernel:
     def test_outside_kernel_value(self, capsys):
         code, out, _ = run_cli(

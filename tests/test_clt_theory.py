@@ -368,3 +368,48 @@ class TestLinearStatCovariance:
             "local", self.fi, self.fi, self.v, self.v, 4.0, 0.02, self.pop, K4.gaussian()
         )
         assert got.value == 0.0
+
+
+class TestContractions:
+    def test_tied_diagonal_merges_into_atoms(self):
+        model = a.PopulationModel.from_diagonal([2.0, 1.0, 2.0, 1.0 + 1e-14, 3.0])
+        rng = np.random.default_rng(0)
+        v1, v2 = rng.standard_normal(5), rng.standard_normal(5)
+        sig, w = model.pair_weights(v1, v2)
+        assert sig == pytest.approx([1.0, 2.0, 3.0], rel=1e-13)
+        assert w == pytest.approx(
+            [v1[1] * v2[1] + v1[3] * v2[3], v1[0] * v2[0] + v1[2] * v2[2], v1[4] * v2[4]],
+            rel=1e-13,
+        )
+
+    def test_grid_matches_per_entry_sum(self):
+        from anisomp.clt_theory import _contraction_diag, _contraction_grid
+
+        diag = np.array([4.0, 1.0, 1.0, 2.5, 4.0, 0.7])
+        pop = _pop(n=6, N=12, sig=diag)
+        rng = np.random.default_rng(1)
+        v1, v2 = rng.standard_normal(6), rng.standard_normal(6)
+        ma = rng.standard_normal(7) + 1j * rng.uniform(0.1, 1.0, 7)
+        mb = rng.standard_normal(5) - 1j * rng.uniform(0.1, 1.0, 5)
+        want = sum(
+            v1[k] * v2[k] * s / np.multiply.outer(1.0 + ma * s, 1.0 + mb * s)
+            for k, s in enumerate(diag)
+        )
+        got = _contraction_grid(pop, v1, v2, ma, mb)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        diag_got = _contraction_diag(pop, v1, v2, ma[:5], mb)
+        assert np.max(np.abs(diag_got - np.diag(want[:5]))) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kappa", [K4.gaussian(), K4.constant(-1.0)])
+    def test_diagonal_of_ones_is_the_identity(self, kappa):
+        n, N = 40, 80
+        v = np.full(n, 1.0 / math.sqrt(n))
+        f = a.TestFunction(kind="bump", center=1.0, width=0.5)
+        g = a.TestFunction(kind="bump", center=2.0, width=0.7)
+        vals = [
+            a.linear_stat_covariance(
+                "global", f, g, v, v, 0.0, 1.0, a.Population(model, N), kappa, grid_points=400
+            ).value
+            for model in (a.PopulationModel.identity(n), a.PopulationModel.from_diagonal(np.ones(n)))
+        ]
+        assert vals[1] == pytest.approx(vals[0], rel=1e-12)

@@ -171,6 +171,21 @@ class TestRunSphericity:
         assert data["name"] == "sph"
         assert (tmp_path / "sph_5_cells.csv").exists()
 
+    def test_pm_cell_report_is_strict_json(self):
+        n = 80
+        cfg = a.ExperimentConfig(
+            name="sph_pm",
+            model=a.PopulationModel.identity(n),
+            distribution=a.EntryDistribution.gaussian(),
+            N=160,
+            trial_count=30,
+            master_seed=5,
+            cells=(SphericityCell(label="pm|x=0.5", pair="pm", x=0.5, a=1.0),),
+        )
+        rep = run_sphericity_frequencies(cfg)
+        assert rep.frequencies["pm|x=0.5"]["trials"] == 30
+        json.dumps(rep.to_dict(), allow_nan=False)
+
     def test_spike_direction_unit(self):
         v = spike_direction(50, 0.3)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -192,6 +207,7 @@ class TestRigidity:
         m200 = rep.stats["N=200"]["median_bulk"]
         assert m200 < m100
         assert rep.stats["N=100"]["edge_dev"] > m100
+        assert rep.predicted == {}  # the medians are observations, not predictions
 
 
 class TestReportPlumbing:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anisomp as a
+from anisomp import mp_law
 from anisomp.mp_law import _atoms, _avg_sigma
 
 # frozen oracle values computed from the closed-form null transform
@@ -89,6 +90,38 @@ class TestSolve:
             m1 = a.solve_m2c(complex(E, 1e-9), null_pop_half).m
             m2 = a.solve_m2c(complex(E, 0.5e-9), null_pop_half, cfg_half).m
             assert abs(m1 - m2) <= 1e-8
+
+
+class TestPanelSolve:
+    """The batched march that feeds the bulk quadratures."""
+
+    @staticmethod
+    def panels(lo, hi, rows=8, cols=16):
+        # rows ascend in E; the outermost nodes sit 2e-8 half-widths inside the
+        # edges, as close as the first Gauss node of a 64-panel quadrature
+        t = np.linspace(-0.5 * math.pi + 2e-4, 0.5 * math.pi - 2e-4, rows * cols)
+        return (0.5 * (lo + hi) + 0.5 * (hi - lo) * np.sin(t)).reshape(rows, cols)
+
+    def test_matches_closed_form(self):
+        cfg = mp_law.DEFAULT_SOLVER
+        for d in (0.3, 0.5, 2.0):
+            pop = a.PopulationSpectrum.identity(6, d)
+            lp, lm = a.null_mp_edges(d)
+            E = self.panels(lm, lp)
+            got = mp_law._solve_panels(E, cfg.eta0, pop)
+            want = np.array([a.null_mp_m2c(complex(e, cfg.eta0), d) for e in E.ravel()])
+            assert np.max(np.abs(got.ravel() - want)) < 1e-10, d
+
+    def test_matches_the_scalar_march(self):
+        cfg = mp_law.DEFAULT_SOLVER
+        pop = a.PopulationSpectrum((4.0,) * 3 + (1.0,) * 9, 0.2)
+        edges = a.support_edges(pop)
+        for k in range(len(edges) // 2):
+            E = self.panels(edges[2 * k + 1], edges[2 * k])
+            got = mp_law._solve_panels(E, cfg.eta0, pop)
+            for row, m_row in zip(E, got):
+                assert np.max(np.abs(m_row - a.solve_m2c_grid(row, cfg.eta0, pop))) < 1e-8
+            assert np.min(got.imag) > 0.0
 
 
 class TestDerivative:
@@ -177,6 +210,54 @@ class TestSupport:
         for j, gamma in enumerate(s.classical_locations, start=1):
             above = quad(rho2c, gamma, lp, limit=200)[0]
             assert above == pytest.approx((j - 0.5) / N, abs=5e-8)
+
+    def test_classical_locations_match_closed_form_quantiles(self):
+        # Sigma = I, d = 1/2: with edges lo < hi, mid = (lo + hi)/2 and
+        # half = (hi - lo)/2, the mass of rho2c below x = mid + half sin(theta)
+        # is prim(theta) - prim(-pi/2), divided by 2 pi
+        from scipy.optimize import brentq
+
+        d, N = 0.5, 250
+        hi, lo = a.null_mp_edges(d)
+        mid, half, root = 0.5 * (lo + hi), 0.5 * (hi - lo), math.sqrt(lo * hi)
+
+        def prim(theta):
+            return mid * theta + half * math.cos(theta) - 2.0 * root * math.atan(
+                (mid * math.tan(theta / 2.0) + half) / root
+            )
+
+        def mass_below(x):
+            theta = math.asin(min(1.0, max(-1.0, (x - mid) / half)))
+            return (prim(theta) - prim(-math.pi / 2)) / (2.0 * math.pi)
+
+        pop = a.PopulationSpectrum.identity(N // 2, d)
+        got = np.asarray(a.support_structure(pop, N).classical_locations)
+        want = [
+            brentq(lambda x: mass_below(x) - (d - (j - 0.5) / N), lo, hi, xtol=1e-15)
+            for j in range(1, len(got) + 1)
+        ]
+        assert len(got) == N // 2
+        assert np.max(np.abs(got - np.asarray(want))) <= 1e-8
+
+    def test_classical_locations_reuse_the_quadrature(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(mp_law, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        pop = a.PopulationSpectrum((4.0,) * 3 + (1.0,) * 9, 0.2)
+        a.support_structure(pop, 60)  # fills the edge and quadrature caches
+        for name in ("solve_m2c", "solve_m2c_grid"):
+            monkeypatch.setattr(mp_law, name, counted(name))
+        s = a.support_structure(pop, 600)
+        assert calls == []
+        assert len(s.classical_locations) == 120
 
     def test_mass_accounting(self):
         for d in (0.3, 0.5, 2.0):
