@@ -30,9 +30,11 @@ from .io import read_matrix
 from .mp_law import (
     DEFAULT_SOLVER,
     PopulationSpectrum,
+    _check_branch,
     _outside_edges,
+    _solve_boundary,
+    _solve_ladder_grid,
     read_spectrum_file,
-    solve_m2c,
     support_edges,
     support_structure,
 )
@@ -132,15 +134,19 @@ def cmd_mp_law(args) -> int:
             print(f"placement error: grid point E = {too_low[0]:.12g} has |E| < omega = {omega}",
                   file=sys.stderr)
             return EXIT_PLACEMENT
-        edges = support_edges(pop) if args.eta == 0.0 else ()
+        # each point is solved on its own, as solve_m2c and density_rho2c
+        # solve it, so the rows match the scalar calls
+        if args.eta == 0.0:
+            m = _solve_boundary(energies, pop)[0]
+            outside = _outside_edges(energies, support_edges(pop))
+            rho = np.where(outside, 0.0, np.maximum(m.imag / math.pi, 0.0))
+        else:
+            m = _solve_ladder_grid(energies, args.eta, pop)
+            _check_branch(energies + 1j * args.eta, m)
+            rho = m.imag / math.pi
         lines = ["E,rho2c,re_m,im_m"]
-        for E in energies:
-            m = solve_m2c(complex(E, args.eta), pop).m
-            if args.eta > 0.0:
-                rho = m.imag / math.pi
-            else:  # the boundary density, as density_rho2c gives it
-                rho = 0.0 if _outside_edges(E, edges) else max(m.imag / math.pi, 0.0)
-            lines.append(f"{E:.12g},{rho:.12g},{m.real:.12g},{m.imag:.12g}")
+        for E, r, mm in zip(energies, rho, m):
+            lines.append(f"{E:.12g},{r:.12g},{mm.real:.12g},{mm.imag:.12g}")
         _emit(args, "\n".join(lines))
         return EXIT_OK
     except ValueError as exc:  # e.g. |d - 1| < tau for the whole support
@@ -291,6 +297,9 @@ def cmd_reproduce(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except AnisompError as exc:  # e.g. BudgetExceeded
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     failed = 0
     for band in bands:
         status = "PASS" if band.passed else "FAIL"

@@ -440,6 +440,8 @@ def _support_nodes(
     Each bulk is mapped through x = mid + half*sin(t), which absorbs the
     square-root edge factors; the integrands of the covariance formulas all
     vanish identically off the support, so no exterior panels are needed.
+    Every bulk holds whole 16-node Gauss panels and the nodes ascend, so the
+    rows that ``solve_m2c_grid`` marches are exactly these panels.
     """
     edges = _edges(pop.spectrum)
     bulks = [(edges[2 * k + 1], edges[2 * k]) for k in range(len(edges) // 2)]
@@ -533,11 +535,8 @@ def linear_stat_covariance(
     term1 = 0.0
     if not kappa.is_zero:
         s = kappa.row_weights(pop.n)
-        rows_i = np.empty((len(x), pop.n))
-        rows_j = np.empty((len(x), pop.n))
-        for k, (xx, mm) in enumerate(zip(x, m)):
-            rows_i[k] = np.imag(mm / xx * pop.model.phi(mm, v_i) ** 2)
-            rows_j[k] = np.imag(mm / xx * pop.model.phi(mm, v_j) ** 2)
+        rows_i = np.imag((m / x)[:, None] * pop.model.phi(m, v_i) ** 2)  # (nodes, n)
+        rows_j = np.imag((m / x)[:, None] * pop.model.phi(m, v_j) ** 2)
         ai = rows_i.T @ (w * fi_x)  # (n,)
         aj = rows_j.T @ (w * fj_x)
         term1 = float(np.sum(s * ai * aj)) / math.pi**2

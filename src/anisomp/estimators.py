@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -70,17 +70,11 @@ class EstimateWithInterval:
         return abs(self.point - sigma) <= self.halfwidth
 
     def to_dict(self) -> dict:
+        """Fields by name.  A non-finite number, such as a NaN default, is
+        written as None, so the record is strict JSON."""
         return {
-            "point": self.point,
-            "halfwidth": self.halfwidth,
-            "alpha": self.alpha,
-            "confidence": self.confidence,
-            "E": self.E,
-            "m2c": self.m2c,
-            "m2c_prime": self.m2c_prime,
-            "kappa_term": self.kappa_term,
-            "resolvent": self.resolvent,
-            "method": self.method,
+            k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in asdict(self).items()
         }
 
     def to_json(self, **kw) -> str:

@@ -36,7 +36,10 @@ def read_matrix(path) -> np.ndarray:
     with open(path, "rb") as fh:
         head = fh.read(len(MAGIC))
         if head == MAGIC:
-            n, N = struct.unpack("<QQ", fh.read(16))
+            dims = fh.read(16)
+            if len(dims) != 16:
+                raise ValueError(f"{path}: truncated binary header")
+            n, N = struct.unpack("<QQ", dims)
             payload = np.frombuffer(fh.read(8 * n * N), dtype="<f8", count=n * N)
             if payload.size != n * N:
                 raise ValueError(f"{path}: truncated binary matrix")

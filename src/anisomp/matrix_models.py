@@ -20,11 +20,10 @@ from .mp_law import (
     DEFAULT_SOLVER,
     SolverConfig,
     as_unit_vector,
-    solve_m2c,
     solve_m2c_grid,
     support_edges,
 )
-from .clt_theory import TestFunction, _gl_panels
+from .clt_theory import TestFunction, _gl_panels, _m_at
 from .populations import (
     EntryDistribution,
     FourthCumulantProfile,
@@ -171,16 +170,10 @@ def y_statistic(
     else:
         z = complex(E) + complex(w) * eta
         scale = np.sqrt(ens.N * eta)
-    m = _m_for_stat(z, pop, config)
+    m = _m_at(z, pop, config)
     r = resolvent_bilinear(ens, v, v, z)
     centering = pop.model.inv_bilinear(m, v, v) / z
     return scale * (r + centering)
-
-
-def _m_for_stat(z: complex, pop: Population, config: SolverConfig) -> complex:
-    if z.imag < 0:
-        return np.conj(solve_m2c(np.conj(z), pop.spectrum, config).m)
-    return solve_m2c(z, pop.spectrum, config).m
 
 
 def z_statistic(
@@ -199,7 +192,7 @@ def z_statistic(
     v = as_unit_vector(v)
     proj2 = ens.projections(v) ** 2
     emp = float(np.sum(proj2 * f((ens.eigenvalues - E) / eta)))
-    sig, wts = ens.model.aniso_pairs(v)
+    sig, wts = ens.model.pair_weights(v, v)
     cent = _centering_integral(
         ens.pop.spectrum, tuple(sig), tuple(wts), f, E, eta, config
     )

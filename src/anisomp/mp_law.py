@@ -329,10 +329,15 @@ def _solve_ladder(
 def _defect_grid(
     m: np.ndarray, z: np.ndarray, d: float, vals: np.ndarray, wts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """h(m) of ``_defect`` and its derivative, for arrays of m and z."""
+    """h(m) of ``_defect`` and its derivative, for arrays of m and z.
+
+    The sums over atoms reduce each point's own row, so a point's value does
+    not depend on how many points share the call (a matrix product may
+    round differently with the number of rows).
+    """
     r = 1.0 / (1.0 + np.multiply.outer(m, vals))
-    h = 1.0 / m + z - d * (r @ (wts * vals))
-    hp = -1.0 / m**2 + d * ((r * r) @ (wts * vals**2))
+    h = 1.0 / m + z - d * np.einsum("...k,k->...", r, wts * vals)
+    hp = -1.0 / m**2 + d * np.einsum("...k,k->...", r * r, wts * vals**2)
     return h, hp
 
 
@@ -345,55 +350,64 @@ def _newton_grid(
     tol: float,
     max_steps: int = 60,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_newton_steps`` on arrays: each point steps until |m h(m)| <= tol."""
+    """``_newton_steps`` on arrays: each point steps until |m h(m)| <= tol.
+
+    The points still stepping are kept packed (``live`` indexes them), so a
+    step costs the same few array operations however many points have left.
+    """
     m = m.copy()
     h, hp = _defect_grid(m, z, d, vals, wts)
     res = np.abs(m * h)
     live = np.nonzero(~(res <= tol))[0]
+    ml, zl, hl, hpl = m[live], z[live], h[live], hp[live]
     with np.errstate(all="ignore"):  # a diverging point stops once non-finite
         for _ in range(max_steps):
             if live.size == 0:
                 break
-            ml = m[live] - h[live] / hp[live]
-            m[live] = ml
-            h[live], hp[live] = _defect_grid(ml, z[live], d, vals, wts)
-            res[live] = np.abs(ml * h[live])
-            live = live[~(res[live] <= tol) & np.isfinite(res[live])]
+            ml = ml - hl / hpl
+            hl, hpl = _defect_grid(ml, zl, d, vals, wts)
+            rl = np.abs(ml * hl)
+            m[live], res[live] = ml, rl
+            keep = ~(rl <= tol) & np.isfinite(rl)
+            if not keep.all():
+                live, ml, zl, hl, hpl = live[keep], ml[keep], zl[keep], hl[keep], hpl[keep]
     return m, res
 
 
 def _solve_ladder_grid(
     energies: np.ndarray,
     eta: float,
-    d: float,
-    vals: np.ndarray,
-    wts: np.ndarray,
-    cfg: SolverConfig,
+    pop: PopulationSpectrum,
+    cfg: SolverConfig = DEFAULT_SOLVER,
 ) -> np.ndarray:
     """``_solve_ladder`` at E + i*eta for a whole array of E at once.
 
-    Every point descends the same rungs: the damped fixed point at E + i,
-    then Newton at each rung max(0.2 * rung, eta), vectorised over the points
-    not yet converged.  A point that misses the residual tolerance on any
-    rung, or ends below the real axis, is re-solved alone by
-    ``_solve_ladder``.
+    Every point descends the same rungs: the damped fixed point at E + i
+    (at E + i*eta itself when eta >= 0.1, as in ``_solve_ladder``), then
+    Newton at each rung max(0.2 * rung, eta), vectorised over the points not
+    yet converged.  No point's arithmetic depends on another's.  A point that
+    misses the residual tolerance on any rung, or ends below the real axis,
+    is re-solved alone by ``_solve_ladder``.
     """
     E = np.asarray(energies, dtype=float)
-    z = E + 1j
+    vals, wts = _atoms(pop)
+    d = pop.aspect_ratio
+    rung = eta if eta >= 0.1 else 1.0
+    z = E + 1j * rung
     m = -1.0 / z
+    wv = wts * vals
     live = np.arange(E.size)
     for _ in range(cfg.max_iter):
         if live.size == 0:
             break
         ml = m[live]
-        avg = (1.0 / (1.0 + np.multiply.outer(ml, vals))) @ (wts * vals)
+        avg = (wv / (1.0 + np.multiply.outer(ml, vals))).sum(axis=-1)
         step = 1.0 / (-z[live] + d * avg) - ml
         moving = ~(np.abs(step) <= cfg.newton_switch * np.maximum(1.0, np.abs(ml)))
         m[live[moving]] = ml[moving] + cfg.damping * step[moving]
         live = live[moving & np.isfinite(step)]
     m, res = _newton_grid(m, z, d, vals, wts, cfg.residual_tol)
     failed = ~(res <= cfg.residual_tol)
-    rung = 1.0
     while rung > eta:
         rung = max(rung * 0.2, eta)
         z = E + 1j * rung
@@ -405,12 +419,60 @@ def _solve_ladder_grid(
     return m
 
 
-def _check_branch(z: complex, m: complex) -> None:
-    if z.imag > 0:
-        if m.imag < -1e-12:
-            raise BranchViolation(f"Im m = {m.imag:.3e} < 0 at z = {z!r}")
-        if (z * m).imag < -1e-10 * max(1.0, abs(z * m)):
-            raise BranchViolation(f"Im(z m) < 0 at z = {z!r}")
+def _check_branch(z: np.ndarray | complex, m: np.ndarray | complex) -> None:
+    """Raise BranchViolation at the first point with Im z > 0 whose m leaves
+    the Nevanlinna branch (Im m < 0 or Im(z m) < 0)."""
+    z, m = np.atleast_1d(z), np.atleast_1d(m)
+    zm = z * m
+    up = z.imag > 0
+    low_m = up & (m.imag < -1e-12)
+    if low_m.any():
+        k = int(np.argmax(low_m))
+        raise BranchViolation(f"Im m = {m[k].imag:.3e} < 0 at z = {complex(z[k])!r}")
+    low_zm = up & (zm.imag < -1e-10 * np.maximum(1.0, np.abs(zm)))
+    if low_zm.any():
+        raise BranchViolation(f"Im(z m) < 0 at z = {complex(z[int(np.argmax(low_zm))])!r}")
+
+
+def _solve_boundary(
+    energies: np.ndarray,
+    pop: PopulationSpectrum,
+    config: SolverConfig = DEFAULT_SOLVER,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary values m(E + i0) and their residuals for an array of real E.
+
+    Each point is solved on its own, so a point's value does not depend on
+    the rest of the array.  The vectorised eta ladder (``_solve_ladder_grid``)
+    brings every point to E + i*eta0; Newton at eta = 0 then converges to the
+    root with Im m > 0 inside a bulk, and to the real root outside the bulks,
+    started there from Re m.  Once the residual tolerance is met, one more
+    Newton step polishes every point: within about 1e-4 of an edge z'(m) is
+    small, and the first iterate inside the tolerance can still be 1e-9 off.
+    Raises NonConvergence or BranchViolation at the first point that fails.
+    """
+    E = np.asarray(energies, dtype=float)
+    vals, wts = _atoms(pop)
+    d = pop.aspect_ratio
+    m = _solve_ladder_grid(E, config.eta0, pop, config)
+    m = np.where(_outside_edges(E, _edges(pop)), m.real + 0j, m)
+    z = E + 0j
+    m, _ = _newton_grid(m, z, d, vals, wts, config.residual_tol)
+    with np.errstate(all="ignore"):  # an edge point fails the residual check below
+        h, hp = _defect_grid(m, z, d, vals, wts)
+        m = m - h / hp
+        res = np.abs(m * _defect_grid(m, z, d, vals, wts)[0])
+    failed = ~(res <= config.residual_tol)
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise NonConvergence(
+            f"boundary solve failed at E={E[k]} (residual {res[k]:.3e}); "
+            "the point may sit on a spectral edge"
+        )
+    below = m.imag < -1e-12
+    if below.any():
+        k = int(np.argmax(below))
+        raise BranchViolation(f"boundary value has Im m = {m[k].imag:.3e} < 0 at E={E[k]}")
+    return m, res
 
 
 # ---------------------------------------------------------------------------
@@ -424,66 +486,27 @@ def solve_m2c(
 ) -> StieltjesValue:
     """Solve the self-consistent equation at z = E + i*eta.
 
-    ``Im z == 0`` encodes the boundary limit eta -> 0+: outside the support
-    the returned value is polished to the exact real root; inside, it is the
-    eta0-regularized boundary value.
+    ``Im z == 0`` encodes the boundary limit eta -> 0+ and is solved by the
+    batched boundary kernel ``_solve_boundary`` on the one point: the exact
+    real root outside the support, the complex root with Im m > 0 inside,
+    each polished by Newton at eta = 0.  ``Im z > 0`` descends the eta ladder
+    (``_solve_ladder``) from E + i.
     """
     z = complex(z)
     if z.imag < 0:
         raise ValueError("solve_m2c expects Im z >= 0; conjugate the result instead")
-    vals, wts = _atoms(pop)
-    d = pop.aspect_ratio
     if z.imag == 0.0:
-        E = z.real
-        if abs(E) < config.omega:
+        if abs(z.real) < config.omega:
             raise ValueError(f"boundary evaluation requires |E| >= omega = {config.omega}")
-        edges = _edges(pop)
-        if _outside_edges(E, edges):
-            m, res = _solve_real_outside(E, d, vals, wts, config)
-            return StieltjesValue(m=complex(m), residual=res)
-        # Boundary value inside a bulk: the eta -> 0 limit solves the
-        # equation at real E with Im m > 0.  Descend in eta, then polish the
-        # complex root directly at z = E (the root is isolated away from
-        # edges, where z'(m) = 0).
-        m0, _ = _solve_ladder(complex(E, config.eta0), d, vals, wts, config)
-        m, res, _ = _newton_steps(m0, complex(E, 0.0), d, vals, wts, config.residual_tol)
-        if res > config.residual_tol:
-            raise NonConvergence(
-                f"boundary polish failed at E={E} (residual {res:.3e}); "
-                "the point may sit on a spectral edge"
-            )
-        if m.imag < -1e-12:
-            raise BranchViolation(f"boundary value has Im m = {m.imag:.3e} < 0 at E={E}")
-        return StieltjesValue(m=m, residual=res)
-    m, res = _solve_ladder(z, d, vals, wts, config)
+        m, res = _solve_boundary(np.array([z.real]), pop, config)
+        return StieltjesValue(m=complex(m[0]), residual=float(res[0]))
+    vals, wts = _atoms(pop)
+    m, res = _solve_ladder(z, pop.aspect_ratio, vals, wts, config)
     _check_branch(z, m)
     return StieltjesValue(m=m, residual=res)
 
 
-def _solve_real_outside(
-    E: float,
-    d: float,
-    vals: np.ndarray,
-    wts: np.ndarray,
-    cfg: SolverConfig,
-) -> tuple[float, float]:
-    m_c, _ = _solve_ladder(complex(E, cfg.eta0), d, vals, wts, cfg)
-    m = m_c.real
-    for _ in range(80):
-        h = (1.0 / m + E - d * float(np.sum(wts * vals / (1.0 + m * vals)))).real
-        hp = -1.0 / m**2 + d * float(np.sum(wts * vals**2 / (1.0 + m * vals) ** 2))
-        if hp == 0:
-            break
-        m_new = m - h / hp
-        if not np.isfinite(m_new) or m_new == 0:
-            break
-        m = m_new
-        if abs(m * h) <= cfg.residual_tol:
-            break
-    res = abs(m * (1.0 / m + E - d * float(np.sum(wts * vals / (1.0 + m * vals)))))
-    if res > cfg.residual_tol:
-        raise NonConvergence(f"real-axis polish failed at E={E} (residual {res:.3e})")
-    return m, res
+_PANEL = 16  # energies per row of the march in solve_m2c_grid, the Gauss order of the quadratures
 
 
 def solve_m2c_grid(
@@ -492,25 +515,22 @@ def solve_m2c_grid(
     pop: PopulationSpectrum,
     config: SolverConfig = DEFAULT_SOLVER,
 ) -> np.ndarray:
-    """Solve along a sorted grid of real energies at fixed eta > 0.
+    """Solve at E + i*eta, eta > 0, along an ascending grid of real energies.
 
-    Marches with warm starts; falls back to continuation where Newton fails.
+    The grid is cut into rows of 16 consecutive energies, the last row padded
+    with the last energy, and ``_solve_panels`` marches along all rows at
+    once: each row starts from the vectorised eta ladder, each later point
+    warm-starts from its neighbour, and one last Newton step polishes every
+    point.  A grid of Gauss panels of order 16 is marched panel by panel.
     """
-    energies = np.asarray(energies, dtype=float)
-    vals, wts = _atoms(pop)
-    d = pop.aspect_ratio
-    out = np.empty(energies.shape, dtype=complex)
-    m = None
-    for k, E in enumerate(energies):
-        zz = complex(E, eta)
-        if m is not None:
-            m_try, res, _ = _newton_steps(m, zz, d, vals, wts, config.residual_tol)
-            if res <= config.residual_tol and (eta <= 0 or m_try.imag >= -1e-12):
-                out[k] = m = m_try
-                continue
-        m, _ = _solve_ladder(zz, d, vals, wts, config)
-        out[k] = m
-    return out
+    E = np.asarray(energies, dtype=float)
+    flat = E.ravel()
+    if flat.size == 0:
+        return np.empty(E.shape, dtype=complex)
+    rows = -(-flat.size // _PANEL)
+    padded = np.concatenate([flat, np.full(rows * _PANEL - flat.size, flat[-1])])
+    m = _solve_panels(padded.reshape(rows, _PANEL), eta, pop, config)
+    return m.ravel()[: flat.size].reshape(E.shape)
 
 
 def _solve_panels(
@@ -519,24 +539,25 @@ def _solve_panels(
     pop: PopulationSpectrum,
     config: SolverConfig = DEFAULT_SOLVER,
 ) -> np.ndarray:
-    """``solve_m2c_grid`` on a (rows, cols) array whose rows ascend in E.
+    """The warm-start march at E + i*eta on a (rows, cols) array whose rows
+    ascend in E, vectorised across the rows.
 
-    The warm-start march runs along all rows at once: the first column comes
-    from ``_solve_ladder_grid``, and each later column from Newton started
-    at the column before it, with the ladder where that fails.  One last
-    Newton step polishes every point.
+    The first column comes from ``_solve_ladder_grid``.  Each later column
+    is one vectorised Newton solve started from the column before it; a
+    point that misses the residual tolerance or leaves the upper half-plane
+    is re-solved by the ladder.  One last Newton step polishes every point.
     """
     E = np.asarray(energies, dtype=float)
     vals, wts = _atoms(pop)
     d = pop.aspect_ratio
     m = np.empty(E.shape, dtype=complex)
-    m[:, 0] = _solve_ladder_grid(E[:, 0], eta, d, vals, wts, config)
+    m[:, 0] = _solve_ladder_grid(E[:, 0], eta, pop, config)
     for j in range(1, E.shape[1]):
         z = E[:, j] + 1j * eta
         m[:, j], res = _newton_grid(m[:, j - 1], z, d, vals, wts, config.residual_tol)
         bad = ~(res <= config.residual_tol) | (m[:, j].imag < -1e-12)
         if bad.any():
-            m[bad, j] = _solve_ladder_grid(E[bad, j], eta, d, vals, wts, config)
+            m[bad, j] = _solve_ladder_grid(E[bad, j], eta, pop, config)
     h, hp = _defect_grid(m, E + 1j * eta, d, vals, wts)
     return m - h / hp
 
@@ -648,12 +669,12 @@ def support_edges(pop: PopulationSpectrum) -> tuple[float, ...]:
     return _edges(pop)
 
 
-def _outside_edges(E: float, edges: Sequence[float]) -> bool:
-    for k in range(len(edges) // 2):
-        hi, lo = edges[2 * k], edges[2 * k + 1]
-        if lo <= E <= hi:
-            return False
-    return True
+def _outside_edges(E: float | np.ndarray, edges: Sequence[float]) -> bool | np.ndarray:
+    """Whether E lies in no bulk [edges[2k+1], edges[2k]], elementwise for arrays."""
+    inside = np.zeros(np.shape(E), dtype=bool)
+    for hi, lo in zip(edges[0::2], edges[1::2]):
+        inside |= (lo <= E) & (E <= hi)
+    return ~inside
 
 
 _GL_NODES_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -224,19 +224,24 @@ class PopulationModel:
         vals, U = self._eig()
         return U @ ((U.T @ v) / (1.0 + m * vals))
 
-    def phi(self, m: complex, v: np.ndarray) -> np.ndarray:
-        """Sigma^{1/2} (1 + m Sigma)^{-1} v, per original coordinate."""
+    def phi(self, m: complex | np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Sigma^{1/2} (1 + m Sigma)^{-1} v, per original coordinate.
+
+        A scalar m gives shape (n,); an array of m gives one row per m,
+        shape (len(m), n).
+        """
+        m = np.asarray(m)[..., None]
         if self.kind == "identity":
             return v / (1.0 + m)
         if self.kind == "diagonal":
             return np.sqrt(self.diagonal) * v / (1.0 + m * self.diagonal)
         if self.kind == "spiked":
             coef, perp, sig = self._decompose(v)
-            return perp / (1.0 + m) + self.spike_vectors @ (
-                np.sqrt(sig) * coef / (1.0 + m * sig)
-            )
+            return perp / (1.0 + m) + (
+                self.spike_vectors @ (np.sqrt(sig) * coef / (1.0 + m * sig)).T
+            ).T
         vals, U = self._eig()
-        return U @ (np.sqrt(vals) * (U.T @ v) / (1.0 + m * vals))
+        return (U @ (np.sqrt(vals) * (U.T @ v) / (1.0 + m * vals)).T).T
 
     def sigma_bilinear(self, ma: complex, mb: complex, v1: np.ndarray, v2: np.ndarray) -> complex:
         """v1^T Sigma (1 + ma Sigma)^{-1} (1 + mb Sigma)^{-1} v2."""
@@ -284,9 +289,6 @@ class PopulationModel:
             prod = (U.T @ v1) * (U.T @ v2)
         order, starts, sig = self._atom_groups()
         return sig, np.add.reduceat(prod[order], starts)
-
-    def aniso_pairs(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.pair_weights(v, v)
 
     # -- sampling support ----------------------------------------------------
 

@@ -95,6 +95,27 @@ class TestMpLaw:
             lines.append(f"{E:.12g},{rho:.12g},{m.real:.12g},{m.imag:.12g}")
         assert out_file.read_text() == "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize("eta", ["0", "2"])
+    def test_grid_makes_no_scalar_solves(self, eta, monkeypatch, capsys):
+        from anisomp import cli, mp_law
+
+        calls = []
+        real = mp_law.solve_m2c
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (mp_law, cli):
+            monkeypatch.setattr(module, "solve_m2c", counted, raising=False)
+        code, out, _ = run_cli(
+            ["mp-law", "--identity", "--d", "0.5", "--grid", "0.02:0.07:3.8", "--eta", eta],
+            capsys,
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 56
+        assert calls == []
+
     @pytest.mark.parametrize(
         "argv, code",
         [
@@ -166,6 +187,17 @@ class TestEstimate:
         )
         assert code == 4
 
+    def test_truncated_header_exit_two(self, tmp_path, capsys):
+        from anisomp.io import MAGIC
+
+        path = tmp_path / "short.bin"
+        path.write_bytes(MAGIC + b"\x02\x00")
+        code, out, err = run_cli(["estimate", "--data", str(path), "--E", "4.0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestSphericity:
     def test_verdict_json(self, tmp_path, capsys):
@@ -219,6 +251,16 @@ class TestReproduce:
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "table9"])
         assert exc.value.code == 2
+
+    def test_budget_exceeded_exit_three(self, tmp_path, capsys):
+        # 10^7 trials of 500 x 1000 exceed the default budget before any trial runs
+        code, out, err = run_cli(
+            ["reproduce", "table1", "--trials", "10000000", "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "budget" in err
 
     def test_config_file_precedence(self, tmp_path, capsys):
         # flags > config file > defaults

@@ -400,6 +400,37 @@ class TestContractions:
         diag_got = _contraction_diag(pop, v1, v2, ma[:5], mb)
         assert np.max(np.abs(diag_got - np.diag(want[:5]))) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "spiked", "general"])
+    def test_phi_rows_match_the_per_node_loop(self, kind):
+        n = 7
+        rng = np.random.default_rng(2)
+        A = rng.standard_normal((n, n))
+        diag = rng.uniform(0.5, 3.0, n)
+        V = np.linalg.qr(A)[0][:, :2]
+        sigma = {
+            "identity": np.eye(n),
+            "diagonal": np.diag(diag),
+            "spiked": np.eye(n) + V @ np.diag([1.5, 0.5]) @ V.T,
+            "general": A @ A.T / n + np.eye(n),
+        }[kind]
+        model = {
+            "identity": a.PopulationModel.identity(n),
+            "diagonal": a.PopulationModel.from_diagonal(diag),
+            "spiked": a.PopulationModel.spiked(n, (1.5, 0.5), V),
+            "general": a.PopulationModel.general(sigma),
+        }[kind]
+        v = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        m = rng.standard_normal(9) + 1j * rng.uniform(0.05, 1.0, 9)
+        got = model.phi(m, v)
+        loop = np.array([model.phi(mm, v) for mm in m])  # one call per node
+        assert got.shape == (9, n)
+        assert np.max(np.abs(got - loop)) <= 1e-13 * np.max(np.abs(loop))
+        lam, U = np.linalg.eigh(sigma)
+        half = (U * np.sqrt(lam)) @ U.T
+        dense = np.array([half @ np.linalg.solve(np.eye(n) + mm * sigma, v) for mm in m])
+        assert np.max(np.abs(got - dense)) <= 1e-11 * np.max(np.abs(dense))
+
     @pytest.mark.parametrize("kappa", [K4.gaussian(), K4.constant(-1.0)])
     def test_diagonal_of_ones_is_the_identity(self, kappa):
         n, N = 40, 80

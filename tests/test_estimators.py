@@ -29,6 +29,17 @@ class TestAlphaOmega:
             assert 1.0 - a.confidence_from_alpha(alpha) == pytest.approx(omega, abs=1e-12)
 
 
+class TestEstimateRecord:
+    def test_nan_defaults_are_strict_json(self):
+        import json
+
+        est = a.EstimateWithInterval(point=1, halfwidth=0.1, alpha=0.05, confidence=0.95)
+        rec = json.loads(json.dumps(est.to_dict(), allow_nan=False))
+        assert rec["point"] == 1 and rec["halfwidth"] == 0.1
+        assert rec["E"] is None and rec["m2c"] is None and rec["resolvent"] is None
+        assert rec["method"] == ""
+
+
 class TestSpikeEstimator:
     def test_exact_plug_in_inversion(self):
         # replacing R_vv by its deterministic limit recovers sigma exactly

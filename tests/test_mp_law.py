@@ -124,6 +124,51 @@ class TestPanelSolve:
             assert np.min(got.imag) > 0.0
 
 
+class TestBoundaryAccuracy:
+    """Grid and scalar values 1e-6 and 1e-4 inside both edges, d = 1/2."""
+
+    D = 0.5
+
+    def points(self):
+        lp, lm = a.null_mp_edges(self.D)
+        return np.array([lm + 1e-6, lm + 1e-4, lp - 1e-4, lp - 1e-6])
+
+    def test_grid_matches_closed_form(self):
+        eta0 = mp_law.DEFAULT_SOLVER.eta0
+        pop = a.PopulationSpectrum.identity(8, self.D)
+        x = self.points()
+        got = a.solve_m2c_grid(x, eta0, pop)
+        want = np.array([a.null_mp_m2c(complex(e, eta0), self.D) for e in x])
+        assert np.max(np.abs(got - want)) < 1e-11
+
+    def test_scalar_boundary_matches_closed_form(self):
+        pop = a.PopulationSpectrum.identity(8, self.D)
+        for E in self.points():
+            got = a.solve_m2c(complex(E, 0.0), pop).m
+            assert abs(got - a.null_mp_m2c(E, self.D)) < 1e-11, E
+
+
+class TestBatchedPointSolves:
+    """The point-independent kernels behind ``mp-law --grid``."""
+
+    @pytest.mark.parametrize("eta", [0.5, 2.0])
+    def test_ladder_grid_matches_scalar_above_the_first_rung(self, eta):
+        pop = a.PopulationSpectrum((4.0,) * 3 + (1.0,) * 9, 0.2)
+        E = np.linspace(0.05, 8.0, 40)
+        got = mp_law._solve_ladder_grid(E, eta, pop)
+        want = np.array([a.solve_m2c(complex(e, eta), pop).m for e in E])
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_boundary_kernel_is_the_scalar_solve(self):
+        pop = a.PopulationSpectrum((4.0,) * 3 + (1.0,) * 9, 0.2)
+        E = np.linspace(0.05, 8.0, 60)
+        m, res = mp_law._solve_boundary(E, pop)
+        for e, mm, r in zip(E, m, res):
+            one = a.solve_m2c(complex(e, 0.0), pop)
+            assert (one.m, one.residual) == (mm, r)
+        assert np.all(res <= 1e-12)
+
+
 class TestDerivative:
     def test_value_at_4(self, null_pop_half):
         got = a.m2c_derivative(4.0 + 0.0j, null_pop_half)
