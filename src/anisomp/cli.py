@@ -30,12 +30,8 @@ from .io import read_matrix
 from .mp_law import (
     DEFAULT_SOLVER,
     PopulationSpectrum,
-    _check_branch,
-    _outside_edges,
-    _solve_boundary,
-    _solve_ladder_grid,
     read_spectrum_file,
-    support_edges,
+    solve_m2c_points,
     support_structure,
 )
 from .populations import EntryDistribution, FourthCumulantProfile, Population, PopulationModel
@@ -134,22 +130,15 @@ def cmd_mp_law(args) -> int:
             print(f"placement error: grid point E = {too_low[0]:.12g} has |E| < omega = {omega}",
                   file=sys.stderr)
             return EXIT_PLACEMENT
-        # each point is solved on its own, as solve_m2c and density_rho2c
-        # solve it, so the rows match the scalar calls
-        if args.eta == 0.0:
-            m = _solve_boundary(energies, pop)[0]
-            outside = _outside_edges(energies, support_edges(pop))
-            rho = np.where(outside, 0.0, np.maximum(m.imag / math.pi, 0.0))
-        else:
-            m = _solve_ladder_grid(energies, args.eta, pop)
-            _check_branch(energies + 1j * args.eta, m)
-            rho = m.imag / math.pi
+        # each point is solved on its own, so the rows are those of
+        # per-point solve_m2c and density_rho2c calls
+        m, _, rho = solve_m2c_points(energies, args.eta, pop)
         lines = ["E,rho2c,re_m,im_m"]
         for E, r, mm in zip(energies, rho, m):
             lines.append(f"{E:.12g},{r:.12g},{mm.real:.12g},{mm.imag:.12g}")
         _emit(args, "\n".join(lines))
         return EXIT_OK
-    except ValueError as exc:  # e.g. |d - 1| < tau for the whole support
+    except ValueError as exc:  # e.g. |d - 1| < tau for the whole support, or eta < 0
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except AnisompError as exc:

@@ -36,6 +36,7 @@ __all__ = [
     "SupportStructure",
     "RegularityReport",
     "solve_m2c",
+    "solve_m2c_points",
     "solve_m2c_grid",
     "m2c_derivative",
     "density_rho2c",
@@ -300,6 +301,17 @@ def _solve_at(
     raise NonConvergence(f"self-consistent solve failed at z={z!r} (residual {res:.3e})")
 
 
+def _rungs(eta: float) -> list[float]:
+    """The eta ladder down to eta > 0: a first rung at 1 (at eta itself when
+    eta >= 0.1), then each rung max(0.2 * rung, eta) until eta is reached."""
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise ValueError(f"the eta ladder needs a finite eta > 0, got {eta!r}")
+    rungs = [eta if eta >= 0.1 else 1.0]
+    while rungs[-1] > eta:
+        rungs.append(max(rungs[-1] * 0.2, eta))
+    return rungs
+
+
 def _solve_ladder(
     z: complex,
     d: float,
@@ -307,18 +319,15 @@ def _solve_ladder(
     wts: np.ndarray,
     cfg: SolverConfig,
 ) -> tuple[complex, float]:
-    """Continuation in eta for targets close to the real axis.
+    """Continuation in eta for one point, the fallback of ``_solve_ladder_grid``.
 
     The damped fixed point is globally stable high in the half-plane; we
-    descend geometrically, warm-starting Newton at each rung.
+    descend the rungs of ``_rungs``, warm-starting Newton at each one.
     """
-    E, eta = z.real, z.imag
-    if eta >= 0.1:
-        return _solve_at(z, d, vals, wts, cfg)
-    m, res = _solve_at(complex(E, 1.0), d, vals, wts, cfg)
-    rung = 1.0
-    while rung > eta:
-        rung = max(rung * 0.2, eta)
+    E = z.real
+    rungs = _rungs(z.imag)
+    m, res = _solve_at(complex(E, rungs[0]), d, vals, wts, cfg)
+    for rung in rungs[1:]:
         zz = complex(E, rung)
         m, res = _newton_steps(m, zz, d, vals, wts, cfg.residual_tol)[:2]
         if res > cfg.residual_tol:
@@ -380,20 +389,19 @@ def _solve_ladder_grid(
     pop: PopulationSpectrum,
     cfg: SolverConfig = DEFAULT_SOLVER,
 ) -> np.ndarray:
-    """``_solve_ladder`` at E + i*eta for a whole array of E at once.
+    """The eta ladder to E + i*eta for a whole array of E at once.
 
-    Every point descends the same rungs: the damped fixed point at E + i
-    (at E + i*eta itself when eta >= 0.1, as in ``_solve_ladder``), then
-    Newton at each rung max(0.2 * rung, eta), vectorised over the points not
-    yet converged.  No point's arithmetic depends on another's.  A point that
-    misses the residual tolerance on any rung, or ends below the real axis,
-    is re-solved alone by ``_solve_ladder``.
+    Every point descends the rungs of ``_rungs(eta)``: the damped fixed
+    point on the first, then Newton on each later one, vectorised over the
+    points not yet converged.  No point's arithmetic depends on another's.
+    A point that misses the residual tolerance on any rung, or ends below
+    the real axis, is re-solved alone by ``_solve_ladder``.
     """
     E = np.asarray(energies, dtype=float)
     vals, wts = _atoms(pop)
     d = pop.aspect_ratio
-    rung = eta if eta >= 0.1 else 1.0
-    z = E + 1j * rung
+    rungs = _rungs(eta)
+    z = E + 1j * rungs[0]
     m = -1.0 / z
     wv = wts * vals
     live = np.arange(E.size)
@@ -408,8 +416,7 @@ def _solve_ladder_grid(
         live = live[moving & np.isfinite(step)]
     m, res = _newton_grid(m, z, d, vals, wts, cfg.residual_tol)
     failed = ~(res <= cfg.residual_tol)
-    while rung > eta:
-        rung = max(rung * 0.2, eta)
+    for rung in rungs[1:]:
         z = E + 1j * rung
         m, res = _newton_grid(m, z, d, vals, wts, cfg.residual_tol)
         failed |= ~(res <= cfg.residual_tol)
@@ -479,31 +486,55 @@ def _solve_boundary(
 # public solver entry points
 
 
+def solve_m2c_points(
+    energies: np.ndarray,
+    eta: float,
+    pop: PopulationSpectrum,
+    config: SolverConfig = DEFAULT_SOLVER,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """m(E + i*eta), its residual and the density for an array of real E.
+
+    Each point is solved on its own, so its values are those of a one-point
+    call.  ``eta == 0`` encodes the boundary limit eta -> 0+ and is solved by
+    ``_solve_boundary`` (every |E| must be at least omega): the exact real
+    root outside the support, the complex root with Im m > 0 inside, each
+    polished by Newton at eta = 0; the density is Im m/pi, exactly 0 off the
+    support.  ``eta > 0`` descends the vectorised eta ladder and checks the
+    branch; the density is Im m(E + i*eta)/pi.  A negative or non-finite
+    eta raises ValueError.
+    """
+    E = np.asarray(energies, dtype=float)
+    if not (math.isfinite(eta) and eta >= 0.0):
+        raise ValueError(
+            f"expects a finite eta = Im z >= 0, got {eta!r}; conjugate the result instead"
+        )
+    if eta == 0.0:
+        if np.any(np.abs(E) < config.omega):
+            raise ValueError(f"boundary evaluation requires |E| >= omega = {config.omega}")
+        m, res = _solve_boundary(E, pop, config)
+        rho = np.where(_outside_edges(E, _edges(pop)), 0.0, np.maximum(m.imag / math.pi, 0.0))
+        return m, res, rho
+    vals, wts = _atoms(pop)
+    z = E + 1j * eta
+    m = _solve_ladder_grid(E, eta, pop, config)
+    _check_branch(z, m)
+    res = np.abs(m * _defect_grid(m, z, pop.aspect_ratio, vals, wts)[0])
+    return m, res, m.imag / math.pi
+
+
 def solve_m2c(
     z: complex,
     pop: PopulationSpectrum,
     config: SolverConfig = DEFAULT_SOLVER,
 ) -> StieltjesValue:
-    """Solve the self-consistent equation at z = E + i*eta.
+    """Solve the self-consistent equation at z = E + i*eta, eta >= 0.
 
-    ``Im z == 0`` encodes the boundary limit eta -> 0+ and is solved by the
-    batched boundary kernel ``_solve_boundary`` on the one point: the exact
-    real root outside the support, the complex root with Im m > 0 inside,
-    each polished by Newton at eta = 0.  ``Im z > 0`` descends the eta ladder
-    (``_solve_ladder``) from E + i.
+    ``solve_m2c_points`` on the one point: ``Im z == 0`` is the boundary
+    limit eta -> 0+, ``Im z > 0`` descends the eta ladder.
     """
     z = complex(z)
-    if z.imag < 0:
-        raise ValueError("solve_m2c expects Im z >= 0; conjugate the result instead")
-    if z.imag == 0.0:
-        if abs(z.real) < config.omega:
-            raise ValueError(f"boundary evaluation requires |E| >= omega = {config.omega}")
-        m, res = _solve_boundary(np.array([z.real]), pop, config)
-        return StieltjesValue(m=complex(m[0]), residual=float(res[0]))
-    vals, wts = _atoms(pop)
-    m, res = _solve_ladder(z, pop.aspect_ratio, vals, wts, config)
-    _check_branch(z, m)
-    return StieltjesValue(m=m, residual=res)
+    m, res, _ = solve_m2c_points(np.array([z.real]), z.imag, pop, config)
+    return StieltjesValue(m=complex(m[0]), residual=float(res[0]))
 
 
 _PANEL = 16  # energies per row of the march in solve_m2c_grid, the Gauss order of the quadratures
@@ -584,11 +615,9 @@ def density_rho2c(
     """Density of the law at E: Im m(E + i0)/pi, exactly zero off-support."""
     if E < config.omega:
         raise ValueError(f"density requires E >= omega = {config.omega}")
-    edges = _edges(pop)
-    if _outside_edges(E, edges):
+    if _outside_edges(E, _edges(pop)):  # no solve: a point a hair off an edge may not converge
         return 0.0
-    m = solve_m2c(complex(E, 0.0), pop, config).m
-    return max(m.imag / math.pi, 0.0)
+    return float(solve_m2c_points(np.array([E]), 0.0, pop, config)[2][0])
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,8 @@ class TestMpLaw:
             (["--identity", "--d", "0.5", "--grid", "0:0.5:1"], 4),  # E = 0 < omega
             (["--identity", "--d", "1.0", "--edges-only", "--N", "10"], 2),  # |d - 1| < tau
             (["--identity", "--d", "0.5", "--grid", "1:0:2"], 2),  # zero step
+            (["--identity", "--d", "0.5", "--grid", "1:0.5:2", "--eta", "-1"], 2),  # eta < 0
+            (["--identity", "--d", "0.5", "--grid", "1:0.5:2", "--eta", "nan"], 2),
         ],
     )
     def test_bad_input_exit_codes(self, argv, code, capsys):

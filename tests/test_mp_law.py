@@ -151,22 +151,46 @@ class TestBoundaryAccuracy:
 class TestBatchedPointSolves:
     """The point-independent kernels behind ``mp-law --grid``."""
 
-    @pytest.mark.parametrize("eta", [0.5, 2.0])
-    def test_ladder_grid_matches_scalar_above_the_first_rung(self, eta):
+    @pytest.mark.parametrize("eta", [1e-6, 0.5, 2.0])
+    def test_ladder_grid_matches_its_per_point_fallback(self, eta):
         pop = a.PopulationSpectrum((4.0,) * 3 + (1.0,) * 9, 0.2)
+        vals, wts = mp_law._atoms(pop)
         E = np.linspace(0.05, 8.0, 40)
         got = mp_law._solve_ladder_grid(E, eta, pop)
-        want = np.array([a.solve_m2c(complex(e, eta), pop).m for e in E])
-        assert np.max(np.abs(got - want)) < 1e-12
+        cfg = mp_law.DEFAULT_SOLVER
+        want = [mp_law._solve_ladder(complex(e, eta), 0.2, vals, wts, cfg)[0] for e in E]
+        assert np.max(np.abs(got - np.array(want))) < 1e-12
 
-    def test_boundary_kernel_is_the_scalar_solve(self):
+    def test_rungs_descend_to_eta(self):
+        assert mp_law._rungs(2.0) == [2.0]
+        rungs = mp_law._rungs(1e-9)
+        assert rungs[0] == 1.0 and rungs[-1] == 1e-9
+        assert all(b < a for a, b in zip(rungs, rungs[1:]))
+
+    @pytest.mark.parametrize("eta", [-1.0, 0.0, math.nan, math.inf])
+    def test_rungs_reject_eta_off_the_half_plane(self, eta):
+        with pytest.raises(ValueError):
+            mp_law._rungs(eta)
+
+    @pytest.mark.parametrize("eta", [-1.0, -1e-300, math.nan, math.inf])
+    def test_points_reject_bad_eta(self, eta):
+        pop = a.PopulationSpectrum.identity(8, 0.5)
+        with pytest.raises(ValueError):
+            mp_law.solve_m2c_points(np.array([1.0, 2.0]), eta, pop)
+
+    def test_points_are_the_scalar_calls(self):
         pop = a.PopulationSpectrum((4.0,) * 3 + (1.0,) * 9, 0.2)
         E = np.linspace(0.05, 8.0, 60)
-        m, res = mp_law._solve_boundary(E, pop)
-        for e, mm, r in zip(E, m, res):
-            one = a.solve_m2c(complex(e, 0.0), pop)
-            assert (one.m, one.residual) == (mm, r)
-        assert np.all(res <= 1e-12)
+        for eta in (0.0, 1e-3):
+            m, res, rho = mp_law.solve_m2c_points(E, eta, pop)
+            assert np.all(res <= 1e-12)
+            for e, mm, r, dens in zip(E, m, res, rho):
+                one = a.solve_m2c(complex(e, eta), pop)
+                assert (one.m, one.residual) == (mm, r)
+                if eta == 0.0:
+                    assert a.density_rho2c(e, pop) == dens
+                else:
+                    assert dens == mm.imag / math.pi
 
 
 class TestDerivative:
