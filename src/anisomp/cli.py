@@ -251,6 +251,9 @@ def cmd_sphericity(args) -> int:
         verdict = sphericity_test(data, u, v, E_margin=args.margin, omega=args.omega)
         _emit(args, verdict.to_json(indent=2))
         return EXIT_OK
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except AnisompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

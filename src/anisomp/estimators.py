@@ -129,7 +129,8 @@ def _kappa_term(
     """(1/N) sum_{k,j} kappa4(k, j) v^4(k) under the chosen policy."""
     if mode not in KAPPA_MODES:
         raise ValueError(f"kappa mode must be one of {KAPPA_MODES}")
-    v4 = np.asarray(v, dtype=float) ** 4
+    v2 = np.square(np.asarray(v, dtype=float))
+    v4 = v2 * v2
     if mode == "gaussian":
         return 0.0
     if mode == "delocalized":
@@ -242,6 +243,13 @@ def sphericity_test(
     3. bound the variance via plug-in Stieltjes estimates and the
        positive-part row-max fourth cumulant (or a split-sample variance);
     4. reject when sqrt(N) |R_uu(E) - R_vv(E)| >= sqrt(2) alpha Gamma(E).
+
+    No eigenvectors are computed: lambda_1 and the plug-in estimates come
+    from the eigenvalues of Q1 alone, and R_uu(E), R_vv(E) from one Cholesky
+    factorisation of E - Q1, which exists because E lies above the spectrum,
+    and one triangular solve against [u, v].
+    ``E_margin`` must be finite and > 0 (``ValueError`` otherwise); a
+    factorisation that fails anyway raises ``DegenerateData``.
     """
     A = np.asarray(raw_data, dtype=float)
     if A.ndim != 2:
@@ -251,23 +259,23 @@ def sphericity_test(
     v = as_unit_vector(v)
     if not 0.0 < omega < 1.0:
         raise ValueError("omega must lie in (0, 1)")
+    if not (math.isfinite(E_margin) and E_margin > 0.0):
+        raise ValueError(f"E_margin must be finite and > 0, got {E_margin}")
 
     sigma_sq = float(np.sum(A**2) / n)
+    if not math.isfinite(sigma_sq):
+        raise DegenerateData("data matrix has a non-finite scale")
     if sigma_sq <= 0.0:
         raise DegenerateData("data matrix has zero scale")
     W = A / math.sqrt(sigma_sq)
 
     Q1 = W @ W.T
-    try:
-        lam, vec = np.linalg.eigh(Q1)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateData(f"eigensolver failed: {exc}") from exc
-    lam = np.maximum(lam[::-1], 0.0)
-    vec = vec[:, ::-1]
+    lam = _descending_spectrum(Q1)
     nz = min(n, N)
     lam_q2 = np.concatenate([lam[:nz], np.zeros(max(N - nz, 0))])
 
     E = float(lam[0]) + E_margin
+    gap = _resolvent_gap_above(Q1, u, v, E)
     m_hat = float(np.mean(1.0 / (lam_q2 - E)))
     m_prime_hat = float(np.mean(1.0 / (lam_q2 - E) ** 2))
 
@@ -275,17 +283,14 @@ def sphericity_test(
         gamma_sq = _split_sample_gamma_sq(W, u, v, E, split_samples)
         kappa_max = math.nan
     else:
-        kappa_rows = N * np.sum(W**4, axis=1) - 3.0
+        W2 = W * W
+        kappa_rows = N * np.sum(W2 * W2, axis=1) - 3.0
         kappa_max = float(np.max(kappa_rows))
         bracket = max(kappa_max, 0.0) + 2.0 * m_prime_hat / m_hat**2
         gamma_sq = m_hat**2 / (E**2 * abs(1.0 + m_hat) ** 4) * bracket
 
     alpha = alpha_from_omega(omega)
-    pu = vec.T @ u
-    pv = vec.T @ v
-    r_uu = float(np.sum(pu**2 / (lam - E)))
-    r_vv = float(np.sum(pv**2 / (lam - E)))
-    statistic = math.sqrt(N) * abs(r_uu - r_vv)
+    statistic = math.sqrt(N) * abs(gap)
     threshold = math.sqrt(2.0) * alpha * math.sqrt(gamma_sq)
     return SphericityVerdict(
         statistic=statistic,
@@ -300,6 +305,49 @@ def sphericity_test(
         m2c_prime_hat=m_prime_hat,
         kappa4_max=kappa_max,
     )
+
+
+def _descending_spectrum(Q1: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric Q1, descending and clamped at zero."""
+    try:
+        lam = np.linalg.eigvalsh(Q1)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateData(f"eigensolver failed: {exc}") from exc
+    return np.maximum(lam[::-1], 0.0)
+
+
+def _resolvent_gap_above(Q1: np.ndarray, u: np.ndarray, v: np.ndarray, E: float) -> float:
+    """R_uu(E) - R_vv(E), with R = (Q1 - E)^{-1}, for real E above the spectrum.
+
+    With E - Q1 = L L^T, -R_uu(E) = |L^{-1} u|^2.  The Cholesky factorisation
+    exists only when E lies numerically above the spectrum, so it is also
+    that check.  Everything stays in NumPy's LAPACK: SciPy links its own
+    OpenBLAS, and alternating calls between the two leave two BLAS thread
+    pools competing for the cores whenever more than one thread is allowed.
+    Q1 is overwritten.
+    """
+    Q1 *= -1.0
+    Q1.flat[:: Q1.shape[0] + 1] += E
+    try:
+        L = np.linalg.cholesky(Q1)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateData(f"E - Q1 is not positive definite at E = {E}: {exc}") from exc
+    y = _lower_solve(L, np.column_stack([u, v]))
+    return float(y[:, 1] @ y[:, 1]) - float(y[:, 0] @ y[:, 0])
+
+
+def _lower_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^{-1} B for lower-triangular L, by block forward substitution.
+
+    NumPy has no triangular solver; each 64-row diagonal block goes through
+    ``np.linalg.solve`` and the rest of the work is matrix products.
+    """
+    Y = np.array(B, dtype=float)
+    for s in range(0, len(L), 64):
+        e = s + 64
+        Y[s:e] = np.linalg.solve(L[s:e, s:e], Y[s:e])
+        Y[e:] -= L[e:, s:e] @ Y[s:e]
+    return Y
 
 
 def _split_sample_gamma_sq(
@@ -318,13 +366,8 @@ def _split_sample_gamma_sq(
     for k in range(p):
         Wk = W[:, k * block : (k + 1) * block] * math.sqrt(N / block)
         Q1k = Wk @ Wk.T
-        lamk, veck = np.linalg.eigh(Q1k)
-        lamk = np.maximum(lamk[::-1], 0.0)
-        veck = veck[:, ::-1]
-        if E - lamk[0] < 1e-6:
+        if E - _descending_spectrum(Q1k)[0] < 1e-6:
             raise OutsideDomain("split block spectrum reaches beyond E")
-        pu = veck.T @ u
-        pv = veck.T @ v
-        gaps.append(float(np.sum(pu**2 / (lamk - E)) - np.sum(pv**2 / (lamk - E))))
+        gaps.append(_resolvent_gap_above(Q1k, u, v, E))
     # Var(sqrt(block) * gap) / 2 estimates the per-direction variance
     return float(np.var(np.asarray(gaps), ddof=1) * block / 2.0)

@@ -22,7 +22,7 @@ from scipy.special import kolmogorov, ndtr
 from .clt_theory import TestFunction, linear_stat_covariance, resolvent_covariance
 from .errors import BudgetExceeded, DegenerateVariance
 from .estimators import estimate_population_eigenvalue, estimate_spike_strength, sphericity_test
-from .matrix_models import sample_ensemble, y_statistic, z_statistic
+from .matrix_models import _y_m_at, sample_ensemble, y_statistic, z_statistic
 from .mp_law import support_structure
 from .populations import EntryDistribution, Population, PopulationModel
 
@@ -238,17 +238,17 @@ def _moment_summary(samples: np.ndarray) -> dict:
 # CLT for the resolvent process
 
 
-def _clt_trial(k: int, cfg: ExperimentConfig) -> dict:
+def _clt_trial(k: int, cfg: ExperimentConfig, ms: tuple) -> dict:
     ens = sample_ensemble(cfg.model, cfg.N, cfg.distribution, trial_seed(cfg.master_seed, k))
     out = {}
     if cfg.mode == "outside":
         for label, v in cfg.vectors:
-            out[label] = complex(y_statistic(ens, v, cfg.E, 0.0, 1.0j))
+            out[label] = complex(y_statistic(ens, v, cfg.E, 0.0, 1.0j, m=ms[0]))
     else:
         for label, v in cfg.vectors:
             for idx, w in enumerate(cfg.w_points):
                 out[f"{label}|w{idx}"] = complex(
-                    y_statistic(ens, v, cfg.E, cfg.eta, w)
+                    y_statistic(ens, v, cfg.E, cfg.eta, w, m=ms[idx])
                 )
     return out
 
@@ -258,14 +258,19 @@ def run_clt_check(cfg: ExperimentConfig) -> ExperimentReport:
     _require_distributional(cfg)
     _check_budget(cfg)
     t0 = time.time()
-    rows = _map_trials(partial(_clt_trial, cfg=cfg), cfg.trial_count, cfg.workers)
+    pop = Population(cfg.model, cfg.N)
+    # m(z) is the same for every draw: solve each point once for all trials
+    if cfg.mode == "outside":
+        ms = (_y_m_at(pop, cfg.E, 0.0, 1.0j),)
+    else:
+        ms = tuple(_y_m_at(pop, cfg.E, cfg.eta, w) for w in cfg.w_points)
+    rows = _map_trials(partial(_clt_trial, cfg=cfg, ms=ms), cfg.trial_count, cfg.workers)
     report = ExperimentReport(
         name=cfg.name,
         master_seed=cfg.master_seed,
         trial_count=cfg.trial_count,
         config=cfg.summary(),
     )
-    pop = Population(cfg.model, cfg.N)
     labels = sorted(rows[0])
     samples = {lab: np.array([r[lab] for r in rows]) for lab in labels}
 

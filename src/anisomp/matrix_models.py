@@ -156,24 +156,37 @@ def y_statistic(
     eta: float,
     w: complex,
     config: SolverConfig = DEFAULT_SOLVER,
+    *,
+    m: complex | None = None,
 ) -> complex:
     """Centered resolvent process sqrt(N eta) (R_vv(z) + z^{-1} (1+m Sigma)^{-1}_vv).
 
     With eta = 0 the boundary variant sqrt(N) (R_vv(E) + E^{-1}(...)) is
     returned, which is the eta^{-1/2}-rescaled limit used off the support.
+    ``m``, when given, is m(z) at that point as the caller solved it: it does
+    not depend on the draw, so a runner solves it once for all its trials.
     """
     v = as_unit_vector(v)
     pop = ens.pop
-    if eta == 0.0:
-        z = complex(E, 0.0)
-        scale = np.sqrt(ens.N)
-    else:
-        z = complex(E) + complex(w) * eta
-        scale = np.sqrt(ens.N * eta)
-    m = _m_at(z, pop, config)
+    z = _y_point(E, eta, w)
+    scale = np.sqrt(ens.N) if eta == 0.0 else np.sqrt(ens.N * eta)
+    if m is None:
+        m = _m_at(z, pop, config)
     r = resolvent_bilinear(ens, v, v, z)
     centering = pop.model.inv_bilinear(m, v, v) / z
     return scale * (r + centering)
+
+
+def _y_point(E: float, eta: float, w: complex) -> complex:
+    """The spectral point z of ``y_statistic``: E itself at eta = 0, else E + w eta."""
+    return complex(E, 0.0) if eta == 0.0 else complex(E) + complex(w) * eta
+
+
+def _y_m_at(
+    pop: Population, E: float, eta: float, w: complex, config: SolverConfig = DEFAULT_SOLVER
+) -> complex:
+    """m(z) at the point ``y_statistic`` reads for (E, eta, w)."""
+    return _m_at(_y_point(E, eta, w), pop, config)
 
 
 def z_statistic(
@@ -278,12 +291,14 @@ def kappa4_hat(ens: SampleEnsemble, mode: str = "pooled") -> FourthCumulantProfi
     A = ens.sqrt_X
     n, N = A.shape
     if mode == "pooled":
-        val = float(N / n * np.sum(A**4) - 3.0)
+        A2 = A * A
+        val = float(N / n * np.sum(A2 * A2) - 3.0)
         return FourthCumulantProfile.constant(max(val, -2.0))
     if mode == "per-row":
         sigma_sq = float(np.sum(A**2) / n)
         W = A / np.sqrt(sigma_sq)
-        vals = N * np.sum(W**4, axis=1) - 3.0
+        W2 = W * W
+        vals = N * np.sum(W2 * W2, axis=1) - 3.0
         return FourthCumulantProfile.per_row(np.maximum(vals, -2.0))
     raise ValueError(f"unknown kappa4 mode {mode!r}")
 

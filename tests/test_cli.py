@@ -215,6 +215,21 @@ class TestSphericity:
         assert rec["decision"] in ("accept", "reject")
         assert rec["alpha"] == pytest.approx(1.959964, abs=1e-4)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--margin", "0"], ["--margin", "-1"], ["--margin", "nan"], ["--omega", "2"]],
+    )
+    def test_bad_parameter_exit_two(self, flags, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "null.bin"
+        write_matrix(path, rng.standard_normal((40, 80)))
+        code, out, err = run_cli(
+            ["sphericity", "--data", str(path), "--u", "e1", "--v", "e2", *flags], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestMatrixIO:
     def test_binary_round_trip(self, tmp_path):

@@ -214,6 +214,70 @@ class TestSphericity:
     def test_degenerate_data(self):
         with pytest.raises(a.DegenerateData):
             a.sphericity_test(np.zeros((5, 10)), _e(5), _e(5, 1))
+        bad = self._data(n=40, N=80, seed=2)
+        bad[3, 5] = np.inf
+        with pytest.raises(a.DegenerateData):
+            a.sphericity_test(bad, _e(40), _e(40, 1))
+
+    @pytest.mark.parametrize("margin", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_margin_rejected(self, margin):
+        data = self._data(n=40, N=80, seed=2)
+        with pytest.raises(ValueError):
+            a.sphericity_test(data, _e(40), _e(40, 1), E_margin=margin)
+
+    def test_gap_below_the_spectrum_is_degenerate(self):
+        # E - Q1 is indefinite below lambda_1: the Cholesky factorisation
+        # fails, and that surfaces as DegenerateData, not LinAlgError
+        from anisomp.estimators import _resolvent_gap_above
+
+        W = self._data(n=40, N=80, seed=2)
+        Q1 = W @ W.T
+        E = 0.5 * np.linalg.eigvalsh(Q1)[-1]
+        with pytest.raises(a.DegenerateData):
+            _resolvent_gap_above(Q1, _e(40), _e(40, 1), E)
+
+    @pytest.mark.parametrize(
+        "n, N, a_spike, split",
+        [(200, 400, 0.0, None), (150, 300, 1.0, None), (120, 60, 0.0, None), (40, 2000, 0.0, 4)],
+        ids=["null", "spiked", "n>N", "split4"],
+    )
+    def test_matches_eigh_recomputation(self, n, N, a_spike, split):
+        data = self._data(n=n, N=N, a_spike=a_spike, x=0.5, seed=11)
+        u, v = _e(n), np.full(n, 1.0 / math.sqrt(n))
+        got = a.sphericity_test(data, u, v, 1.0, 0.05, split_samples=split)
+        want = _eigh_sphericity(data, u, v, 1.0, 0.05, split)
+        for key, val in want.items():
+            if math.isnan(val):
+                assert math.isnan(getattr(got, key)), key
+            else:
+                assert getattr(got, key) == pytest.approx(val, rel=1e-9), key
+        assert got.decision == ("reject" if want["statistic"] >= want["threshold"] else "accept")
+
+    def test_block_forward_solve(self):
+        from scipy.linalg import solve_triangular
+
+        from anisomp.estimators import _lower_solve
+
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((150, 300))
+        L = np.linalg.cholesky(M @ M.T / 300.0)
+        B = rng.standard_normal((150, 2))
+        want = solve_triangular(L, B, lower=True)
+        got = _lower_solve(L, B)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_no_eigenvectors(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        data = self._data(n=500, N=1000, seed=5)
+        a.sphericity_test(data, _e(500), _e(500, 1))
+        assert calls == []
 
     def test_split_sample_variance_mode(self):
         # needs tall data so each block spectrum stays below E
@@ -232,3 +296,40 @@ class TestSphericity:
         record = json.loads(v.to_json())
         for key in ("statistic", "threshold", "decision", "gamma_sq", "E", "m2c_hat"):
             assert key in record
+
+
+def _eigh_sphericity(A, u, v, margin, omega, split):
+    """The test's numeric fields from a full eigendecomposition of Q1."""
+    n, N = A.shape
+    W = A / math.sqrt(np.sum(A**2) / n)
+
+    def gap(Wb, E=None, margin=None):
+        lam, vec = np.linalg.eigh(Wb @ Wb.T)
+        lam, vec = np.maximum(lam[::-1], 0.0), vec[:, ::-1]
+        E = lam[0] + margin if E is None else E
+        pu, pv = vec.T @ u, vec.T @ v
+        return lam, E, np.sum(pu**2 / (lam - E)) - np.sum(pv**2 / (lam - E))
+
+    lam, E, g = gap(W, margin=margin)
+    lam_q2 = np.concatenate([lam[: min(n, N)], np.zeros(max(N - n, 0))])
+    m = np.mean(1.0 / (lam_q2 - E))
+    mp = np.mean(1.0 / (lam_q2 - E) ** 2)
+    if split:
+        b = N // split
+        gaps = [
+            gap(W[:, k * b : (k + 1) * b] * math.sqrt(N / b), E=E)[2] for k in range(split)
+        ]
+        gamma_sq = np.var(gaps, ddof=1) * b / 2.0
+        kappa_max = math.nan
+    else:
+        kappa_max = np.max(N * np.sum(W**4, axis=1) - 3.0)
+        gamma_sq = m**2 / (E**2 * abs(1.0 + m) ** 4) * (max(kappa_max, 0.0) + 2.0 * mp / m**2)
+    alpha = a.alpha_from_omega(omega)
+    return {
+        "statistic": math.sqrt(N) * abs(g),
+        "threshold": math.sqrt(2.0) * alpha * math.sqrt(gamma_sq),
+        "E": E,
+        "m2c_hat": m,
+        "m2c_prime_hat": mp,
+        "kappa4_max": kappa_max,
+    }

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import anisomp as a
+from anisomp import clt_theory
 from anisomp.experiments import (
     SphericityCell,
     run_clt_check,
@@ -96,6 +97,28 @@ class TestRunCltCheck:
     def test_minimum_trials_enforced(self):
         with pytest.raises(ValueError):
             run_clt_check(_clt_cfg(trials=10))
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, dict(mode="local", E=1.0, eta=0.2, w_points=(1j, 0.5 + 1j))],
+        ids=["outside", "local"],
+    )
+    def test_m_solved_once_per_point(self, kw, monkeypatch):
+        # m(z) does not depend on the draw: doubling the trials adds no solves
+        solve = clt_theory.solve_m2c
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(clt_theory, "solve_m2c", counted)
+        counts = []
+        for trials in (30, 60):
+            calls.clear()
+            run_clt_check(_clt_cfg(trials=trials, **kw))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 13
 
     def test_budget_guard(self):
         with pytest.raises(a.BudgetExceeded):
