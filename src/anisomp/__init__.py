@@ -59,7 +59,6 @@ from .clt_theory import (
     variance_positivity,
 )
 from .matrix_models import (
-    EnsembleCache,
     SampleEnsemble,
     kappa4_hat,
     m2c_hat,

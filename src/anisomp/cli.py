@@ -27,20 +27,24 @@ from .errors import (
 from .estimators import estimate_population_eigenvalue, estimate_spike_strength, sphericity_test
 from .experiments import REPRODUCIBLE_NAMES, reproduce
 from .io import read_matrix
+from .matrix_models import SampleEnsemble
 from .mp_law import (
     DEFAULT_SOLVER,
     PopulationSpectrum,
+    as_unit_vector,
     read_spectrum_file,
     solve_m2c_points,
     support_structure,
 )
-from .populations import EntryDistribution, FourthCumulantProfile, Population, PopulationModel
+from .populations import FourthCumulantProfile, Population, PopulationModel
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SOLVER = 3
 EXIT_PLACEMENT = 4
 EXIT_BANDS = 5
+
+MAX_GRID_POINTS = 10**6
 
 
 def _workers(args) -> int:
@@ -65,25 +69,30 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:step:stop, got {spec!r}")
     start, step, stop = (float(p) for p in parts)
+    if not all(math.isfinite(x) for x in (start, step, stop)):
+        raise ValueError(f"grid start, step and stop must be finite, got {spec!r}")
     if step == 0.0:
         raise ValueError(f"grid step must be nonzero, got {spec!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    span = (stop - start) / step + 1e-9
+    if not (math.isfinite(span) and span < MAX_GRID_POINTS):
+        raise ValueError(f"grid must have at most {MAX_GRID_POINTS} points, got {spec!r}")
+    return start + step * np.arange(int(math.floor(span)) + 1)
 
 
 def _unit_vector(spec: str, n: int) -> np.ndarray:
     """Named test vectors: e<k>, 'e' (flat), 'e1+e2', 'e1-e2', or @file."""
     if spec.startswith("@"):
         v = np.loadtxt(spec[1:], dtype=float).ravel()
-        return v / np.linalg.norm(v)
+        if v.size != n:
+            raise ValueError(f"vector file {spec[1:]!r} holds {v.size} entries, not {n}")
+        return _normalised(v, spec)
     if spec == "e":
         return np.full(n, 1.0 / math.sqrt(n))
     if "+" in spec or "-" in spec:
         sign = 1.0 if "+" in spec else -1.0
         a, b = spec.replace("-", "+").split("+")
         va, vb = _unit_vector(a, n), _unit_vector(b, n)
-        v = va + sign * vb
-        return v / np.linalg.norm(v)
+        return _normalised(va + sign * vb, spec)
     if spec.startswith("e"):
         idx = int(spec[1:]) - 1
         if not 0 <= idx < n:
@@ -92,6 +101,22 @@ def _unit_vector(spec: str, n: int) -> np.ndarray:
         v[idx] = 1.0
         return v
     raise ValueError(f"cannot parse vector spec {spec!r}")
+
+
+def _normalised(v: np.ndarray, spec: str) -> np.ndarray:
+    """v / |v|; ValueError when v is zero or not finite, or when its norm
+    under- or overflows so that v / |v| is not a unit vector."""
+    with np.errstate(all="ignore"):  # an overflowing norm is rejected below
+        nrm = float(np.linalg.norm(v))
+    if not (math.isfinite(nrm) and nrm > 0.0):
+        raise ValueError(f"vector {spec!r} is zero or not finite")
+    return as_unit_vector(v / nrm)
+
+
+def _fail(message: str, code: int) -> int:
+    """Write one line to stderr and return the exit code."""
+    print(message, file=sys.stderr)
+    return code
 
 
 def _emit(args, text: str) -> None:
@@ -111,8 +136,7 @@ def cmd_mp_law(args) -> int:
         pop = _load_spectrum(args)
         energies = _parse_grid(args.grid) if args.grid else None
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(f"error: {exc}", EXIT_PARSE)
     try:
         if args.edges_only:
             struct = support_structure(pop, args.N or 100)
@@ -122,14 +146,14 @@ def cmd_mp_law(args) -> int:
             _emit(args, json.dumps(payload, indent=2))
             return EXIT_OK
         if energies is None:
-            print("error: provide --grid or --edges-only", file=sys.stderr)
-            return EXIT_PARSE
+            return _fail("error: provide --grid or --edges-only", EXIT_PARSE)
         omega = DEFAULT_SOLVER.omega
         too_low = energies[np.abs(energies) < omega] if args.eta == 0.0 else ()
         if len(too_low):
-            print(f"placement error: grid point E = {too_low[0]:.12g} has |E| < omega = {omega}",
-                  file=sys.stderr)
-            return EXIT_PLACEMENT
+            return _fail(
+                f"placement error: grid point E = {too_low[0]:.12g} has |E| < omega = {omega}",
+                EXIT_PLACEMENT,
+            )
         # each point is solved on its own, so the rows are those of
         # per-point solve_m2c and density_rho2c calls
         m, _, rho = solve_m2c_points(energies, args.eta, pop)
@@ -139,11 +163,9 @@ def cmd_mp_law(args) -> int:
         _emit(args, "\n".join(lines))
         return EXIT_OK
     except ValueError as exc:  # e.g. |d - 1| < tau for the whole support, or eta < 0
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(f"error: {exc}", EXIT_PARSE)
     except AnisompError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _fail(f"solver failure: {exc}", EXIT_SOLVER)
 
 
 def cmd_clt_kernel(args) -> int:
@@ -156,8 +178,7 @@ def cmd_clt_kernel(args) -> int:
         v2 = _unit_vector(args.v2 or args.v1, pop.n)
         kappa = FourthCumulantProfile.constant(args.kappa)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(f"error: {exc}", EXIT_PARSE)
     try:
         if args.mode == "variance":
             val = variance_positivity(args.E, v1, pop, kappa)
@@ -173,16 +194,13 @@ def cmd_clt_kernel(args) -> int:
             _emit(args, json.dumps(out, indent=2))
             return EXIT_OK
         else:
-            print(f"error: unknown kernel mode {args.mode!r}", file=sys.stderr)
-            return EXIT_PARSE
+            return _fail(f"error: unknown kernel mode {args.mode!r}", EXIT_PARSE)
         _emit(args, json.dumps(out.to_dict(), indent=2))
         return EXIT_OK
     except OutsideDomain as exc:
-        print(f"placement error: {exc}", file=sys.stderr)
-        return EXIT_PLACEMENT
+        return _fail(f"placement error: {exc}", EXIT_PLACEMENT)
     except AnisompError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _fail(f"solver failure: {exc}", EXIT_SOLVER)
 
 
 def cmd_estimate(args) -> int:
@@ -191,11 +209,10 @@ def cmd_estimate(args) -> int:
         n, N = data.shape
         v = _unit_vector(args.vector, n)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(f"error: {exc}", EXIT_PARSE)
     try:
         model = PopulationModel.general(np.eye(n))  # structure unknown: raw data path
-        ens = _ensemble_from_data(model, data)
+        ens = SampleEnsemble.from_data(model, data)
         if args.E <= ens.lambda_1 + 1e-9:
             raise OutsideDomain(f"E = {args.E} inside the sample spectrum")
         if args.method == "spike":
@@ -209,33 +226,9 @@ def cmd_estimate(args) -> int:
         _emit(args, est.to_json(indent=2))
         return EXIT_OK
     except (OutsideDomain, NearSingular, ResolventDegenerate) as exc:
-        print(f"placement error: {exc}", file=sys.stderr)
-        return EXIT_PLACEMENT
+        return _fail(f"placement error: {exc}", EXIT_PLACEMENT)
     except AnisompError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
-
-def _ensemble_from_data(model: PopulationModel, data: np.ndarray):
-    """Wrap a raw data matrix as a SampleEnsemble (data = Sigma^{1/2} X)."""
-    from .matrix_models import SampleEnsemble
-
-    n, N = data.shape
-    Q1 = data @ data.T
-    lam, vec = np.linalg.eigh(Q1)
-    lam = np.maximum(lam[::-1], 0.0)
-    nz = min(n, N)
-    lam[nz:] = 0.0
-    return SampleEnsemble(
-        model=model,
-        distribution=EntryDistribution.gaussian(),
-        seed=0,
-        N=N,
-        X=data,
-        sqrt_X=data,
-        eigenvalues=lam,
-        eigenvectors=vec[:, ::-1].copy(),
-    )
+        return _fail(f"solver failure: {exc}", EXIT_SOLVER)
 
 
 def cmd_sphericity(args) -> int:
@@ -245,18 +238,15 @@ def cmd_sphericity(args) -> int:
         u = _unit_vector(args.u, n)
         v = _unit_vector(args.v, n)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(f"error: {exc}", EXIT_PARSE)
     try:
         verdict = sphericity_test(data, u, v, E_margin=args.margin, omega=args.omega)
         _emit(args, verdict.to_json(indent=2))
         return EXIT_OK
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(f"error: {exc}", EXIT_PARSE)
     except AnisompError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _fail(f"error: {exc}", EXIT_SOLVER)
 
 
 def cmd_reproduce(args) -> int:
@@ -267,8 +257,7 @@ def cmd_reproduce(args) -> int:
             with open(args.config, "r", encoding="utf-8") as fh:
                 settings.update(json.load(fh))
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            return _fail(f"error: {exc}", EXIT_PARSE)
     if args.seed is not None:
         settings["seed"] = args.seed
     if args.trials is not None:
@@ -287,11 +276,9 @@ def cmd_reproduce(args) -> int:
             workers=_workers(args),
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(f"error: {exc}", EXIT_PARSE)
     except AnisompError as exc:  # e.g. BudgetExceeded
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _fail(f"error: {exc}", EXIT_SOLVER)
     failed = 0
     for band in bands:
         status = "PASS" if band.passed else "FAIL"

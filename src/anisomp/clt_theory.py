@@ -67,8 +67,6 @@ class TestFunction:
     center: float = 1.0
     width: float = 0.5
     poly_coeffs: tuple[float, ...] = (1.0,)
-    hoelder_a: float = 1.0
-    decay_b: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("bump", "poly_gauss"):
@@ -319,13 +317,10 @@ def variance_positivity(
     margin: float | None = None,
     config: SolverConfig = DEFAULT_SOLVER,
 ) -> float:
-    """alpha_hat + beta_hat at (E, E, v, v); provably >= 0 off the support."""
-    _require_outside(E, pop, pop.tau if margin is None else margin, config)
-    val = float(
-        np.real(
-            alpha_hat(E, E, v, v, pop, kappa, config)
-            + beta_hat(E, E, v, v, pop, config)
-        )
+    """alpha_hat + beta_hat at (E, E, v, v), the outside ``resolvent_covariance``
+    of v with itself; provably >= 0 off the support."""
+    val = resolvent_covariance(
+        "outside", pop, v, v, kappa=kappa, E=E, margin=margin, config=config
     )
     if val < -1e-12:
         raise PositivityViolation(f"variance kernel evaluated to {val} < -1e-12")

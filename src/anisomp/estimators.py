@@ -102,19 +102,7 @@ class SphericityVerdict:
         return self.decision == "reject"
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "decision": self.decision,
-            "gamma_sq": self.gamma_sq,
-            "rescale_sigma_sq": self.rescale_sigma_sq,
-            "E": self.E,
-            "alpha": self.alpha,
-            "omega": self.omega,
-            "m2c_hat": self.m2c_hat,
-            "m2c_prime_hat": self.m2c_prime_hat,
-            "kappa4_max": self.kappa4_max,
-        }
+        return asdict(self)
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_dict(), **kw)
@@ -168,26 +156,8 @@ def estimate_spike_strength(
     lam_plus, _ = null_mp_edges(d)
     if E <= lam_plus + min_gap:
         raise OutsideDomain(f"E = {E} too close to the bulk edge {lam_plus}")
-    r = float(np.real(resolvent_bilinear(ens, v, v, E)))
-    if abs(r) < 1e-12:
-        raise ResolventDegenerate("R_vv(E) vanished; cannot invert")
-    m = float(np.real(null_mp_m2c(E, d)))
-    m_prime = float(np.real(null_mp_m2c_prime(E, d)))
-    point = -(1.0 / m) * (1.0 / (E * r) + 1.0)
-    kt = _kappa_term(ens, v, kappa_mode, kappa)
-    delta = alpha * abs(point) * math.sqrt(kt + 2.0 * m_prime / m**2)
-    return EstimateWithInterval(
-        point=point,
-        halfwidth=delta / math.sqrt(ens.N),
-        alpha=alpha,
-        confidence=confidence_from_alpha(alpha),
-        E=E,
-        m2c=m,
-        m2c_prime=m_prime,
-        kappa_term=kt,
-        resolvent=r,
-        method="spike",
-    )
+    m, m_prime = null_mp_m2c(E, d), null_mp_m2c_prime(E, d)
+    return _invert_resolvent(ens, v, E, m, m_prime, alpha, kappa_mode, kappa, "spike")
 
 
 def estimate_population_eigenvalue(
@@ -204,11 +174,28 @@ def estimate_population_eigenvalue(
     v = as_unit_vector(v)
     if E <= ens.lambda_1 + min_gap:
         raise OutsideDomain(f"E = {E} not above lambda_1 + {min_gap} = {ens.lambda_1 + min_gap}")
+    m, m_prime = m2c_hat(ens, E), m2c_hat_prime(ens, E)
+    return _invert_resolvent(ens, v, E, m, m_prime, alpha, kappa_mode, kappa, "population")
+
+
+def _invert_resolvent(
+    ens: SampleEnsemble,
+    v: np.ndarray,
+    E: float,
+    m: complex,
+    m_prime: complex,
+    alpha: float,
+    kappa_mode: str,
+    kappa: FourthCumulantProfile | None,
+    method: str,
+) -> EstimateWithInterval:
+    """The estimate both estimators share: invert R_vv(E) ~ -E^{-1}/(1 + m sigma)
+    for sigma, given m(E) and m'(E) from the estimator's Stieltjes source."""
     r = float(np.real(resolvent_bilinear(ens, v, v, E)))
     if abs(r) < 1e-12:
         raise ResolventDegenerate("R_vv(E) vanished; cannot invert")
-    m = float(np.real(m2c_hat(ens, E)))
-    m_prime = float(np.real(m2c_hat_prime(ens, E)))
+    m = float(np.real(m))
+    m_prime = float(np.real(m_prime))
     point = -(1.0 / m) * (1.0 / (E * r) + 1.0)
     kt = _kappa_term(ens, v, kappa_mode, kappa)
     delta = alpha * abs(point) * math.sqrt(kt + 2.0 * m_prime / m**2)
@@ -222,7 +209,7 @@ def estimate_population_eigenvalue(
         m2c_prime=m_prime,
         kappa_term=kt,
         resolvent=r,
-        method="population",
+        method=method,
     )
 
 
@@ -233,7 +220,6 @@ def sphericity_test(
     E_margin: float = 1.0,
     omega: float = 0.05,
     *,
-    kappa_mode: str = "per-row-max",
     split_samples: int | None = None,
 ) -> SphericityVerdict:
     """Four-step sphericity test on a raw n x N data matrix.

@@ -171,6 +171,17 @@ class ExperimentReport:
         return paths
 
 
+def _new_report(cfg: ExperimentConfig) -> ExperimentReport:
+    """An empty report for a runner's configuration; the runner times it
+    with ``time.perf_counter``."""
+    return ExperimentReport(
+        name=cfg.name,
+        master_seed=cfg.master_seed,
+        trial_count=cfg.trial_count,
+        config=cfg.summary(),
+    )
+
+
 # ---------------------------------------------------------------------------
 # deterministic per-trial RNG streams
 
@@ -187,9 +198,8 @@ def _map_trials(fn, n_trials: int, workers: int) -> list:
         return list(ex.map(fn, range(n_trials), chunksize=chunk))
 
 
-def _check_budget(cfg: ExperimentConfig, per_trial_cost: float | None = None) -> None:
-    cost = per_trial_cost if per_trial_cost is not None else cfg.n * cfg.N
-    if cost * cfg.trial_count > cfg.budget:
+def _check_budget(cfg: ExperimentConfig) -> None:
+    if cfg.n * cfg.N * cfg.trial_count > cfg.budget:
         raise BudgetExceeded(
             f"{cfg.name}: {cfg.trial_count} trials of size {cfg.n}x{cfg.N} exceed the budget"
         )
@@ -219,6 +229,11 @@ def normality_test(samples) -> tuple[float, float]:
     d = float(np.max(np.maximum(np.abs(cdf - grid), np.abs(cdf - (grid - 1.0 / k)))))
     stat = math.sqrt(k) * d
     return stat, float(kolmogorov(stat))
+
+
+def _frequency(hits: np.ndarray) -> dict:
+    """Count, trial count and frequency of a boolean array of outcomes."""
+    return {"count": int(np.sum(hits)), "trials": len(hits), "frequency": float(np.mean(hits))}
 
 
 def _moment_summary(samples: np.ndarray) -> dict:
@@ -257,7 +272,8 @@ def run_clt_check(cfg: ExperimentConfig) -> ExperimentReport:
     """Verify the resolvent CLT: mean zero, kernel covariance, normality."""
     _require_distributional(cfg)
     _check_budget(cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
+    report = _new_report(cfg)
     pop = Population(cfg.model, cfg.N)
     # m(z) is the same for every draw: solve each point once for all trials
     if cfg.mode == "outside":
@@ -265,12 +281,6 @@ def run_clt_check(cfg: ExperimentConfig) -> ExperimentReport:
     else:
         ms = tuple(_y_m_at(pop, cfg.E, cfg.eta, w) for w in cfg.w_points)
     rows = _map_trials(partial(_clt_trial, cfg=cfg, ms=ms), cfg.trial_count, cfg.workers)
-    report = ExperimentReport(
-        name=cfg.name,
-        master_seed=cfg.master_seed,
-        trial_count=cfg.trial_count,
-        config=cfg.summary(),
-    )
     labels = sorted(rows[0])
     samples = {lab: np.array([r[lab] for r in rows]) for lab in labels}
 
@@ -334,7 +344,7 @@ def run_clt_check(cfg: ExperimentConfig) -> ExperimentReport:
                 "variance_re": float(np.var(samples[lab].real, ddof=1)),
                 "variance_im": float(np.var(samples[lab].imag, ddof=1)),
             }
-    report.wall_clock = time.time() - t0
+    report.wall_clock = time.perf_counter() - t0
     return report
 
 
@@ -355,7 +365,8 @@ def run_linear_stat_check(cfg: ExperimentConfig) -> ExperimentReport:
     """Verify the linear-statistic CLT against the covariance formulas."""
     _require_distributional(cfg)
     _check_budget(cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
+    report = _new_report(cfg)
     if cfg.mode == "global":
         eta, E = 1.0, 0.0
     else:
@@ -363,12 +374,6 @@ def run_linear_stat_check(cfg: ExperimentConfig) -> ExperimentReport:
         E = cfg.E
     rows = _map_trials(
         partial(_linear_trial, cfg=cfg, eta=eta, E=E), cfg.trial_count, cfg.workers
-    )
-    report = ExperimentReport(
-        name=cfg.name,
-        master_seed=cfg.master_seed,
-        trial_count=cfg.trial_count,
-        config=cfg.summary(),
     )
     pop = Population(cfg.model, cfg.N)
     for vl, v in cfg.vectors:
@@ -387,7 +392,7 @@ def run_linear_stat_check(cfg: ExperimentConfig) -> ExperimentReport:
             }
             stat, p = normality_test(x)
             report.normality[lab] = {"statistic": stat, "p_value": p}
-    report.wall_clock = time.time() - t0
+    report.wall_clock = time.perf_counter() - t0
     return report
 
 
@@ -426,16 +431,11 @@ def run_coverage(cfg: ExperimentConfig) -> ExperimentReport:
     """
     _require_distributional(cfg)
     _check_budget(cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
+    report = _new_report(cfg)
     method = cfg.mode or "spike"
     kappa_mode = cfg.kappa_mode or (
         "gaussian" if cfg.distribution.kind == "gaussian" else "pooled"
-    )
-    report = ExperimentReport(
-        name=cfg.name,
-        master_seed=cfg.master_seed,
-        trial_count=cfg.trial_count,
-        config=cfg.summary(),
     )
     for sigma in cfg.sigma_grid:
         rows = _map_trials(
@@ -456,16 +456,12 @@ def run_coverage(cfg: ExperimentConfig) -> ExperimentReport:
             "mean_halfwidth": float(np.mean(halfwidths)),
             "target": sigma,
         }
-        report.frequencies[f"coverage[{key}]"] = {
-            "count": int(np.sum(covered)),
-            "trials": len(covered),
-            "frequency": float(np.mean(covered)),
-        }
+        report.frequencies[f"coverage[{key}]"] = _frequency(covered)
         report.predicted[key] = {
             "value": sigma,
             "source": f"anisomp.estimators.estimate_{'spike_strength' if method == 'spike' else 'population_eigenvalue'}",
         }
-    report.wall_clock = time.time() - t0
+    report.wall_clock = time.perf_counter() - t0
     return report
 
 
@@ -514,13 +510,8 @@ def run_sphericity_frequencies(cfg: ExperimentConfig) -> ExperimentReport:
     """Misestimation frequency per (deviation, test-vector strategy) cell."""
     _require_distributional(cfg)
     _check_budget(cfg)
-    t0 = time.time()
-    report = ExperimentReport(
-        name=cfg.name,
-        master_seed=cfg.master_seed,
-        trial_count=cfg.trial_count,
-        config=cfg.summary(),
-    )
+    t0 = time.perf_counter()
+    report = _new_report(cfg)
     for cell in cfg.cells:
         rows = _map_trials(
             partial(_sphericity_trial, cfg=cfg, cell=cell), cfg.trial_count, cfg.workers
@@ -528,22 +519,14 @@ def run_sphericity_frequencies(cfg: ExperimentConfig) -> ExperimentReport:
         miss = np.array([r["miss"] for r in rows], dtype=bool)
         rej = np.array([r["reject"] for r in rows], dtype=bool)
         report.raw[f"miss[{cell.label}]"] = miss.astype(int).tolist()
-        report.frequencies[cell.label] = {
-            "count": int(np.sum(miss)),
-            "trials": len(miss),
-            "frequency": float(np.mean(miss)),
-        }
-        report.frequencies[cell.label + "|reject"] = {
-            "count": int(np.sum(rej)),
-            "trials": len(rej),
-            "frequency": float(np.mean(rej)),
-        }
+        report.frequencies[cell.label] = _frequency(miss)
+        report.frequencies[cell.label + "|reject"] = _frequency(rej)
         if cell.pair != "pm":  # the pm strategy has no predicted frequency
             report.predicted[cell.label] = {
                 "value": 0.0,
                 "source": "anisomp.estimators.sphericity_test",
             }
-    report.wall_clock = time.time() - t0
+    report.wall_clock = time.perf_counter() - t0
     return report
 
 
@@ -574,13 +557,8 @@ def rigidity_diagnostic(
     locations gamma_j they are measured against come from one
     ``support_structure`` call per N.
     """
-    t0 = time.time()
-    report = ExperimentReport(
-        name=cfg.name,
-        master_seed=cfg.master_seed,
-        trial_count=cfg.trial_count,
-        config=cfg.summary(),
-    )
+    t0 = time.perf_counter()
+    report = _new_report(cfg)
     for N in sizes:
         pop = Population(PopulationModel.identity(int(round(d * N))), N)
         gammas = np.asarray(support_structure(pop.spectrum, N).classical_locations)
@@ -592,7 +570,7 @@ def rigidity_diagnostic(
         med = float(np.median([r["median_bulk"] for r in rows]))
         edge = float(np.median([r["edge_dev"] for r in rows]))
         report.stats[f"N={N}"] = {"median_bulk": med, "edge_dev": edge}
-    report.wall_clock = time.time() - t0
+    report.wall_clock = time.perf_counter() - t0
     return report
 
 
@@ -608,9 +586,6 @@ class BandResult:
     bound: str
 
 
-REPRODUCIBLE_NAMES = ("table1", "table2", "figure1", "figure2")
-
-
 def reproduce(
     name: str,
     seed: int = 1,
@@ -622,14 +597,7 @@ def reproduce(
     """Run one reproduction preset and evaluate its acceptance bands."""
     if name not in REPRODUCIBLE_NAMES:
         raise ValueError(f"unknown reproduction {name!r}; choose from {REPRODUCIBLE_NAMES}")
-    if name == "table1":
-        reports, bands = _reproduce_table1(seed, full, trials, workers)
-    elif name == "table2":
-        reports, bands = _reproduce_table2(seed, full, trials, workers)
-    elif name == "figure1":
-        reports, bands = _reproduce_figure1(seed, full, trials, workers)
-    else:
-        reports, bands = _reproduce_figure2(seed, full, trials, workers)
+    reports, bands = _PRESETS[name](seed, full, trials, workers)
     if out_dir:
         for rep in reports:
             rep.write(out_dir)
@@ -644,23 +612,28 @@ def _table_cells_1(n: int, a: float, xs: tuple[float, ...]) -> tuple[SphericityC
     return tuple(cells)
 
 
-def _reproduce_table1(seed, full, trials, workers):
-    n, N = 500, 1000
-    t = trials or (1000 if full else 200)
-    xs = (1.0 / math.sqrt(n), 0.2, 0.5)
-    cfg = ExperimentConfig(
-        name="table1",
-        model=PopulationModel.identity(n),
+def _table_config(name, cells, seed, full, trials, workers) -> ExperimentConfig:
+    """A sphericity table: Sigma = I with n = 500, N = 1000, Gaussian entries,
+    omega = 0.05 and E = lambda_1 + 1."""
+    return ExperimentConfig(
+        name=name,
+        model=PopulationModel.identity(500),
         distribution=EntryDistribution.gaussian(),
-        N=N,
-        trial_count=t,
+        N=1000,
+        trial_count=trials or (1000 if full else 200),
         master_seed=seed,
-        cells=_table_cells_1(n, 1.0, xs),
+        cells=cells,
         omega=0.05,
         e_margin=1.0,
         workers=workers,
     )
-    rep = run_sphericity_frequencies(cfg)
+
+
+def _reproduce_table1(seed, full, trials, workers):
+    n = 500
+    xs = (1.0 / math.sqrt(n), 0.2, 0.5)
+    cells = _table_cells_1(n, 1.0, xs)
+    rep = run_sphericity_frequencies(_table_config("table1", cells, seed, full, trials, workers))
     f = {k: v["frequency"] for k, v in rep.frequencies.items()}
     bands = [
         BandResult(f"(e1,e) x={x:g} miss <= 0.05", f[f"e1,e|x={x:g}"] <= 0.05, f[f"e1,e|x={x:g}"], "<= 0.05")
@@ -674,25 +647,12 @@ def _reproduce_table1(seed, full, trials, workers):
 
 
 def _reproduce_table2(seed, full, trials, workers):
-    n, N = 500, 1000
-    t = trials or (1000 if full else 200)
     a_grid = (0.1, 0.25, 1.0)
     cells = []
     for pair in ("e1,e2", "e1,e"):
         for a in a_grid:
             cells.append(SphericityCell(label=f"{pair}|a={a:g}", pair=pair, x=0.2, a=a))
-    cfg = ExperimentConfig(
-        name="table2",
-        model=PopulationModel.identity(n),
-        distribution=EntryDistribution.gaussian(),
-        N=N,
-        trial_count=t,
-        master_seed=seed,
-        cells=tuple(cells),
-        omega=0.05,
-        e_margin=1.0,
-        workers=workers,
-    )
+    cfg = _table_config("table2", tuple(cells), seed, full, trials, workers)
     rep = run_sphericity_frequencies(cfg)
     f = {k: v["frequency"] for k, v in rep.frequencies.items()}
     seq = [f[f"e1,e|a={a:g}"] for a in a_grid]
@@ -708,25 +668,31 @@ def _reproduce_table2(seed, full, trials, workers):
     return [rep], bands
 
 
-def _reproduce_figure1(seed, full, trials, workers):
+def _figure_config(name, dist, mode, E, sigma_grid, seed, full, trials, workers):
+    """A coverage figure: N = 2n with n = 500 (2000 with ``full``), alpha = 2."""
     n = 2000 if full else 500
-    N = 2 * n
+    return ExperimentConfig(
+        name=name,
+        model=PopulationModel.identity(n),  # rebuilt per sigma inside the runner
+        distribution=dist,
+        N=2 * n,
+        trial_count=trials,
+        master_seed=seed,
+        mode=mode,
+        E=E,
+        sigma_grid=sigma_grid,
+        alpha=2.0,
+        workers=workers,
+    )
+
+
+def _reproduce_figure1(seed, full, trials, workers):
     t = trials or 500
     reports, bands = [], []
     floor = 0.93 if full else 0.90
     for dist in (EntryDistribution.gaussian(), EntryDistribution.rademacher()):
-        cfg = ExperimentConfig(
-            name=f"figure1_{dist.kind}",
-            model=PopulationModel.identity(n),  # rebuilt per sigma inside the runner
-            distribution=dist,
-            N=N,
-            trial_count=t,
-            master_seed=seed,
-            mode="spike",
-            E=4.0,
-            sigma_grid=(1.1, 1.3, 1.5),
-            alpha=2.0,
-            workers=workers,
+        cfg = _figure_config(
+            f"figure1_{dist.kind}", dist, "spike", 4.0, (1.1, 1.3, 1.5), seed, full, t, workers
         )
         rep = run_coverage(cfg)
         reports.append(rep)
@@ -740,47 +706,32 @@ def _reproduce_figure1(seed, full, trials, workers):
                     f">= {floor}",
                 )
             )
-            st = rep.stats[f"sigma={sigma:g}"]
-            bias_ok = abs(st["mean"] - sigma) <= 2.0 * st["mean_halfwidth"]
-            bands.append(
-                BandResult(
-                    f"{dist.kind} bias sigma={sigma:g} <= 2 halfwidths",
-                    bias_ok,
-                    abs(st["mean"] - sigma),
-                    f"<= {2.0 * st['mean_halfwidth']:.4f}",
-                )
-            )
+            bands.append(_bias_band(rep, sigma, dist.kind))
     return reports, bands
 
 
 def _reproduce_figure2(seed, full, trials, workers):
-    n = 2000 if full else 500
-    N = 2 * n
-    t = trials or 200
-    cfg = ExperimentConfig(
-        name="figure2",
-        model=PopulationModel.identity(n),  # rebuilt per sigma inside the runner
-        distribution=EntryDistribution.gaussian(),
-        N=N,
-        trial_count=t,
-        master_seed=seed,
-        mode="population",
-        E=6.0,
-        sigma_grid=(0.5, 1.0, 1.5),
-        alpha=2.0,
-        workers=workers,
+    gaussian = EntryDistribution.gaussian()
+    cfg = _figure_config(
+        "figure2", gaussian, "population", 6.0, (0.5, 1.0, 1.5), seed, full, trials or 200, workers
     )
     rep = run_coverage(cfg)
-    bands = []
-    for sigma in cfg.sigma_grid:
-        st = rep.stats[f"sigma={sigma:g}"]
-        bias_ok = abs(st["mean"] - sigma) <= 2.0 * st["mean_halfwidth"]
-        bands.append(
-            BandResult(
-                f"population-estimator bias sigma={sigma:g} <= 2 halfwidths",
-                bias_ok,
-                abs(st["mean"] - sigma),
-                f"<= {2.0 * st['mean_halfwidth']:.4f}",
-            )
-        )
-    return [rep], bands
+    return [rep], [_bias_band(rep, sigma, "population-estimator") for sigma in cfg.sigma_grid]
+
+
+def _bias_band(rep: ExperimentReport, sigma: float, label: str) -> BandResult:
+    """|mean estimate - sigma| within two mean half-widths, for a run_coverage report."""
+    st = rep.stats[f"sigma={sigma:g}"]
+    bias, bound = abs(st["mean"] - sigma), 2.0 * st["mean_halfwidth"]
+    return BandResult(
+        f"{label} bias sigma={sigma:g} <= 2 halfwidths", bias <= bound, bias, f"<= {bound:.4f}"
+    )
+
+
+_PRESETS = {
+    "table1": _reproduce_table1,
+    "table2": _reproduce_table2,
+    "figure1": _reproduce_figure1,
+    "figure2": _reproduce_figure2,
+}
+REPRODUCIBLE_NAMES = tuple(_PRESETS)

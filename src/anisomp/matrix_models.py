@@ -1,15 +1,14 @@
 """Sample-covariance ensembles and their empirical spectral statistics.
 
-One ``SampleEnsemble`` is a single draw: the data matrix X (entries scaled
-by N^{-1/2}), the eigendecomposition of Q1 = Sigma^{1/2} X X^T Sigma^{1/2}
-(computed once and shared by every statistic), and the cached Sigma^{1/2} X.
+One ``SampleEnsemble`` is a single draw: the data matrix Sigma^{1/2} X
+(entries of X scaled by N^{-1/2}) and the eigendecomposition of
+Q1 = Sigma^{1/2} X X^T Sigma^{1/2}, computed once and shared by every statistic.
 All resolvent quantities are spectral sums over the cached eigenpairs rather
 than per-z linear solves, since each trial queries several spectral points.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,7 +40,6 @@ __all__ = [
     "m2c_hat",
     "m2c_hat_prime",
     "kappa4_hat",
-    "EnsembleCache",
 ]
 
 MAX_DESK_N = 4000
@@ -60,10 +58,39 @@ class SampleEnsemble:
     distribution: EntryDistribution
     seed: int
     N: int
-    X: np.ndarray
     sqrt_X: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    @classmethod
+    def from_data(
+        cls,
+        model: PopulationModel,
+        data: np.ndarray,
+        dist: EntryDistribution | None = None,
+        seed: int = 0,
+    ) -> "SampleEnsemble":
+        """Wrap an n x N data matrix data = Sigma^{1/2} X and eigendecompose
+        Q1 = data data^T once.  ``dist`` (Gaussian when None) and ``seed``
+        only label the draw."""
+        n, N = data.shape
+        try:
+            lam, vec = np.linalg.eigh(data @ data.T)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise EigenFailure(str(exc)) from exc
+        lam = lam[::-1].copy()
+        vec = vec[:, ::-1].copy()
+        lam[lam < 0.0] = 0.0
+        lam[min(n, N) :] = 0.0
+        return cls(
+            model=model,
+            distribution=dist or EntryDistribution.gaussian(),
+            seed=seed,
+            N=N,
+            sqrt_X=data,
+            eigenvalues=lam,
+            eigenvectors=vec,
+        )
 
     @property
     def n(self) -> int:
@@ -98,33 +125,14 @@ def sample_ensemble(
     *,
     max_n: int = MAX_DESK_N,
 ) -> SampleEnsemble:
-    """Draw X, form Q1 and eigendecompose it once, deterministically in seed."""
+    """Draw X and wrap Sigma^{1/2} X (``SampleEnsemble.from_data``),
+    deterministically in seed."""
     n = model.n
     if n > max_n:
         raise ValueError(f"n = {n} exceeds the desk-scale bound {max_n}")
     rng = np.random.default_rng(seed)
     X = dist.sample(rng, (n, N)) / np.sqrt(N)
-    B = model.sqrt_apply(X)
-    Q1 = B @ B.T
-    try:
-        lam, vec = np.linalg.eigh(Q1)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigenFailure(str(exc)) from exc
-    lam = lam[::-1].copy()
-    vec = vec[:, ::-1].copy()
-    lam[lam < 0.0] = 0.0
-    nz = min(n, N)
-    lam[nz:] = 0.0
-    return SampleEnsemble(
-        model=model,
-        distribution=dist,
-        seed=seed,
-        N=N,
-        X=X,
-        sqrt_X=B,
-        eigenvalues=lam,
-        eigenvectors=vec,
-    )
+    return SampleEnsemble.from_data(model, model.sqrt_apply(X), dist, seed)
 
 
 def vesd_eval(ens: SampleEnsemble, u: np.ndarray, x: float) -> float:
@@ -301,43 +309,3 @@ def kappa4_hat(ens: SampleEnsemble, mode: str = "pooled") -> FourthCumulantProfi
         vals = N * np.sum(W2 * W2, axis=1) - 3.0
         return FourthCumulantProfile.per_row(np.maximum(vals, -2.0))
     raise ValueError(f"unknown kappa4 mode {mode!r}")
-
-
-class EnsembleCache:
-    """Opt-in binary cache of (seed, eigenvalues, projections) per ensemble.
-
-    Stores only what sweeps over the spectral parameter need, not the data
-    matrix itself.
-    """
-
-    def __init__(self, directory: str) -> None:
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-
-    def _path(self, seed: int) -> str:
-        return os.path.join(self.directory, f"ensemble_{seed}.npz")
-
-    def store(self, ens: SampleEnsemble, vectors: dict[str, np.ndarray]) -> str:
-        payload = {
-            "seed": np.array(ens.seed, dtype=np.int64),
-            "N": np.array(ens.N, dtype=np.int64),
-            "eigenvalues": ens.eigenvalues,
-        }
-        for label, vec in vectors.items():
-            payload[f"proj_{label}"] = ens.projections(np.asarray(vec, dtype=float))
-        path = self._path(ens.seed)
-        np.savez(path, **payload)
-        return path
-
-    def load(self, seed: int) -> dict:
-        with np.load(self._path(seed)) as data:
-            out = {
-                "seed": int(data["seed"]),
-                "N": int(data["N"]),
-                "eigenvalues": data["eigenvalues"].copy(),
-                "projections": {},
-            }
-            for key in data.files:
-                if key.startswith("proj_"):
-                    out["projections"][key[5:]] = data[key].copy()
-        return out

@@ -124,10 +124,9 @@ class PopulationSpectrum:
 
 @dataclass(frozen=True)
 class StieltjesValue:
-    """Value of m(z) (and optionally m'(z)) with the fixed-point defect."""
+    """Value of m(z) with the fixed-point defect."""
 
     m: complex
-    m_prime: complex | None = None
     residual: float = 0.0
 
 
@@ -153,24 +152,6 @@ class SupportStructure:
     @property
     def lambda_minus(self) -> float:
         return self.edges[-1]
-
-    @property
-    def bulks(self) -> tuple[tuple[float, float], ...]:
-        return tuple(
-            (self.edges[2 * k + 1], self.edges[2 * k]) for k in range(len(self.edges) // 2)
-        )
-
-    def contains(self, E: float, pad: float = 0.0) -> bool:
-        return any(lo - pad <= E <= hi + pad for lo, hi in self.bulks)
-
-    def distance(self, E: float) -> float:
-        """Distance from E to the support (0 inside)."""
-        d = math.inf
-        for lo, hi in self.bulks:
-            if lo <= E <= hi:
-                return 0.0
-            d = min(d, abs(E - lo), abs(E - hi))
-        return d
 
     def to_dict(self) -> dict:
         return {
@@ -215,130 +196,23 @@ def _atoms(pop: PopulationSpectrum) -> tuple[np.ndarray, np.ndarray]:
     return merged[order], weights[order]
 
 
-def _avg_sigma(m: complex, vals: np.ndarray, wts: np.ndarray) -> complex:
-    return complex(np.sum(wts * vals / (1.0 + m * vals)))
-
-
-def _avg_sigma_sq(m: complex, vals: np.ndarray, wts: np.ndarray) -> complex:
-    return complex(np.sum(wts * vals**2 / (1.0 + m * vals) ** 2))
-
-
-def _defect(m: complex, z: complex, d: float, vals: np.ndarray, wts: np.ndarray) -> complex:
-    """h(m) = 1/m + z - d * avg(sigma/(1+m sigma)); zero at the solution."""
-    return 1.0 / m + z - d * _avg_sigma(m, vals, wts)
-
-
-def _residual(m: complex, z: complex, d: float, vals: np.ndarray, wts: np.ndarray) -> float:
-    # |1 - m * (-z + d*avg)| : the relative fixed-point defect.
-    return abs(m * _defect(m, z, d, vals, wts))
-
-
-def _newton_steps(
-    m: complex,
-    z: complex,
-    d: float,
-    vals: np.ndarray,
-    wts: np.ndarray,
-    tol: float,
-    max_steps: int = 60,
-) -> tuple[complex, float, int]:
-    best_m, best_res = m, _residual(m, z, d, vals, wts)
-    used = 0
-    for _ in range(max_steps):
-        used += 1
-        h = _defect(m, z, d, vals, wts)
-        hp = -1.0 / m**2 + d * _avg_sigma_sq(m, vals, wts)
-        if hp == 0:
-            break
-        m_new = m - h / hp
-        if not np.isfinite(m_new) or m_new == 0:
-            break
-        res = abs(m_new * _defect(m_new, z, d, vals, wts))
-        m = m_new
-        if res < best_res:
-            best_m, best_res = m, res
-        if res <= tol:
-            return m, res, used
-        if res > 1e3 * max(best_res, tol):
-            break
-    return best_m, best_res, used
-
-
-def _solve_at(
-    z: complex,
-    d: float,
-    vals: np.ndarray,
-    wts: np.ndarray,
-    cfg: SolverConfig,
-    m0: complex | None = None,
-) -> tuple[complex, float]:
-    """Damped fixed point from m0 (default -1/z), sharpened by Newton."""
-    m = m0 if m0 is not None else -1.0 / z
-    budget = cfg.max_iter
-    damping = cfg.damping
-    while budget > 0:
-        # fixed-point phase
-        while budget > 0:
-            budget -= 1
-            denom = -z + d * _avg_sigma(m, vals, wts)
-            if denom == 0 or not np.isfinite(denom):
-                m = -1.0 / z * (1.0 + 1e-6j)
-                continue
-            t = 1.0 / denom
-            step = t - m
-            if abs(step) <= cfg.newton_switch * max(1.0, abs(m)):
-                break
-            m = m + damping * step
-        m_new, res, used = _newton_steps(m, z, d, vals, wts, cfg.residual_tol)
-        budget -= used
-        if res <= cfg.residual_tol:
-            return m_new, res
-        # Newton stalled; tighten with more damped fixed-point iterations
-        damping = max(0.1, damping / 2.0)
-        m = m_new
-        if budget <= 0:
-            break
-    raise NonConvergence(f"self-consistent solve failed at z={z!r} (residual {res:.3e})")
-
-
-def _rungs(eta: float) -> list[float]:
-    """The eta ladder down to eta > 0: a first rung at 1 (at eta itself when
-    eta >= 0.1), then each rung max(0.2 * rung, eta) until eta is reached."""
+def _rungs(eta: float, top: float = 1.0) -> list[float]:
+    """The eta ladder down to eta > 0: a first rung at ``top`` (at eta itself
+    when eta >= top/10), then each rung max(0.2 * rung, eta) until eta is
+    reached."""
     if not (math.isfinite(eta) and eta > 0.0):
         raise ValueError(f"the eta ladder needs a finite eta > 0, got {eta!r}")
-    rungs = [eta if eta >= 0.1 else 1.0]
+    rungs = [eta if eta >= 0.1 * top else top]
     while rungs[-1] > eta:
         rungs.append(max(rungs[-1] * 0.2, eta))
     return rungs
 
 
-def _solve_ladder(
-    z: complex,
-    d: float,
-    vals: np.ndarray,
-    wts: np.ndarray,
-    cfg: SolverConfig,
-) -> tuple[complex, float]:
-    """Continuation in eta for one point, the fallback of ``_solve_ladder_grid``.
-
-    The damped fixed point is globally stable high in the half-plane; we
-    descend the rungs of ``_rungs``, warm-starting Newton at each one.
-    """
-    E = z.real
-    rungs = _rungs(z.imag)
-    m, res = _solve_at(complex(E, rungs[0]), d, vals, wts, cfg)
-    for rung in rungs[1:]:
-        zz = complex(E, rung)
-        m, res = _newton_steps(m, zz, d, vals, wts, cfg.residual_tol)[:2]
-        if res > cfg.residual_tol:
-            m, res = _solve_at(zz, d, vals, wts, cfg, m0=m)
-    return m, res
-
-
 def _defect_grid(
     m: np.ndarray, z: np.ndarray, d: float, vals: np.ndarray, wts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """h(m) of ``_defect`` and its derivative, for arrays of m and z.
+    """h(m) = 1/m + z - d * avg(sigma/(1+m sigma)), zero at the solution, and
+    its derivative, for arrays of m and z.
 
     The sums over atoms reduce each point's own row, so a point's value does
     not depend on how many points share the call (a matrix product may
@@ -359,7 +233,8 @@ def _newton_grid(
     tol: float,
     max_steps: int = 60,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_newton_steps`` on arrays: each point steps until |m h(m)| <= tol.
+    """Newton on h(m): each point steps until |m h(m)| <= tol, at most
+    ``max_steps`` times, and stops early once it is non-finite.
 
     The points still stepping are kept packed (``live`` indexes them), so a
     step costs the same few array operations however many points have left.
@@ -383,24 +258,29 @@ def _newton_grid(
     return m, res
 
 
-def _solve_ladder_grid(
-    energies: np.ndarray,
-    eta: float,
-    pop: PopulationSpectrum,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-) -> np.ndarray:
-    """The eta ladder to E + i*eta for a whole array of E at once.
+def _off_branch(m: np.ndarray, res: np.ndarray, tol: float) -> np.ndarray:
+    """Points that miss the residual tolerance or sit below the real axis.
 
-    Every point descends the rungs of ``_rungs(eta)``: the damped fixed
-    point on the first, then Newton on each later one, vectorised over the
-    points not yet converged.  No point's arithmetic depends on another's.
-    A point that misses the residual tolerance on any rung, or ends below
-    the real axis, is re-solved alone by ``_solve_ladder``.
+    The sign test is relative to |m| when |m| < 1: for a spectrum of scale
+    sigma, m is of order 1/sigma, and the wrong roots of Sigma = 200 I sit at
+    Im m between -1e-12 and -4e-13, which an absolute -1e-12 test accepts.
     """
-    E = np.asarray(energies, dtype=float)
+    return ~(res <= tol) | (m.imag < -1e-12 * np.minimum(1.0, np.abs(m)))
+
+
+def _descend(
+    E: np.ndarray, rungs: list[float], pop: PopulationSpectrum, cfg: SolverConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """One descent of the eta ladder ``rungs`` for an array of E.
+
+    The damped fixed point on the first rung, then Newton on each later one,
+    vectorised over the points not yet converged.  No point's arithmetic
+    depends on another's.  Returns m at E + i*rungs[-1] and the mask of the
+    points that missed the residual tolerance on any rung or end off the
+    branch (``_off_branch``).
+    """
     vals, wts = _atoms(pop)
     d = pop.aspect_ratio
-    rungs = _rungs(eta)
     z = E + 1j * rungs[0]
     m = -1.0 / z
     wv = wts * vals
@@ -420,9 +300,34 @@ def _solve_ladder_grid(
         z = E + 1j * rung
         m, res = _newton_grid(m, z, d, vals, wts, cfg.residual_tol)
         failed |= ~(res <= cfg.residual_tol)
-    failed |= m.imag < -1e-12
-    for k in np.nonzero(failed)[0]:
-        m[k] = _solve_ladder(complex(E[k], eta), d, vals, wts, cfg)[0]
+    return m, failed | _off_branch(m, res, cfg.residual_tol)
+
+
+def _solve_ladder_grid(
+    energies: np.ndarray,
+    eta: float,
+    pop: PopulationSpectrum,
+    cfg: SolverConfig = DEFAULT_SOLVER,
+) -> np.ndarray:
+    """The eta ladder to E + i*eta for a whole array of E at once.
+
+    Every point descends the rungs of ``_rungs(eta)`` (``_descend``).  The
+    fixed point is stable high in the half-plane on the scale of the
+    spectrum, so a point that fails descends again from a first rung of 10,
+    then 100, and so on up to 1e6; a point that fails every ladder raises
+    NonConvergence.
+    """
+    E = np.asarray(energies, dtype=float)
+    top = 10.0
+    with np.errstate(all="ignore"):  # a point may overflow before it is judged failed
+        m, failed = _descend(E, _rungs(eta), pop, cfg)
+        while failed.any() and top <= 1e6:
+            k = np.nonzero(failed)[0]
+            m[k], failed[k] = _descend(E[k], _rungs(eta, top), pop, cfg)
+            top *= 10.0
+    if failed.any():
+        z = complex(E[int(np.argmax(failed))], eta)
+        raise NonConvergence(f"self-consistent solve failed at z={z!r} on every eta ladder")
     return m
 
 
@@ -586,7 +491,7 @@ def _solve_panels(
     for j in range(1, E.shape[1]):
         z = E[:, j] + 1j * eta
         m[:, j], res = _newton_grid(m[:, j - 1], z, d, vals, wts, config.residual_tol)
-        bad = ~(res <= config.residual_tol) | (m[:, j].imag < -1e-12)
+        bad = _off_branch(m[:, j], res, config.residual_tol)
         if bad.any():
             m[bad, j] = _solve_ladder_grid(E[bad, j], eta, pop, config)
     h, hp = _defect_grid(m, E + 1j * eta, d, vals, wts)
@@ -601,7 +506,8 @@ def m2c_derivative(
     """m'(z) by implicit differentiation of the self-consistent equation."""
     m = solve_m2c(z, pop, config).m
     vals, wts = _atoms(pop)
-    denom = 1.0 / m**2 - pop.aspect_ratio * _avg_sigma_sq(m, vals, wts)
+    avg_sq = complex(np.sum(wts * vals**2 / (1.0 + m * vals) ** 2))
+    denom = 1.0 / m**2 - pop.aspect_ratio * avg_sq
     if abs(denom) < 1e-10:
         raise DegenerateDenominator(f"implicit-function denominator vanishes at z = {z!r}")
     return 1.0 / denom
@@ -706,13 +612,9 @@ def _outside_edges(E: float | np.ndarray, edges: Sequence[float]) -> bool | np.n
     return ~inside
 
 
-_GL_NODES_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_NODES_CACHE:
-        _GL_NODES_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_NODES_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 @dataclass(frozen=True)
@@ -1013,7 +915,7 @@ def anisotropic_density(
 def as_unit_vector(v: Iterable[float], tol: float = 1e-12) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > tol:
+    if not abs(nrm - 1.0) <= tol:  # also rejects a NaN norm
         raise ValueError(f"direction vector must have unit norm (got {nrm!r})")
     return v
 

@@ -185,16 +185,6 @@ class PopulationModel:
     def spectrum(self, aspect_ratio: float, tau: float = 0.05) -> PopulationSpectrum:
         return PopulationSpectrum(tuple(self.eigenvalues()), aspect_ratio, tau)
 
-    def sigma_matrix(self) -> np.ndarray:
-        if self.kind == "identity":
-            return np.eye(self.n)
-        if self.kind == "diagonal":
-            return np.diag(self.diagonal)
-        if self.kind == "spiked":
-            V = self.spike_vectors
-            return np.eye(self.n) + (V * np.asarray(self.spike_strengths)) @ V.T
-        return self.matrix.copy()
-
     def trace(self) -> float:
         if self.kind == "identity":
             return float(self.n)
@@ -211,18 +201,6 @@ class PopulationModel:
         V = self.spike_vectors
         coef = V.T @ v
         return coef, v - V @ coef, 1.0 + np.asarray(self.spike_strengths)
-
-    def inv_one_plus_m(self, m: complex, v: np.ndarray) -> np.ndarray:
-        """(1 + m Sigma)^{-1} v."""
-        if self.kind == "identity":
-            return v / (1.0 + m)
-        if self.kind == "diagonal":
-            return v / (1.0 + m * self.diagonal)
-        if self.kind == "spiked":
-            coef, perp, sig = self._decompose(v)
-            return perp / (1.0 + m) + self.spike_vectors @ (coef / (1.0 + m * sig))
-        vals, U = self._eig()
-        return U @ ((U.T @ v) / (1.0 + m * vals))
 
     def phi(self, m: complex | np.ndarray, v: np.ndarray) -> np.ndarray:
         """Sigma^{1/2} (1 + m Sigma)^{-1} v, per original coordinate.

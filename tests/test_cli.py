@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import anisomp as a
-from anisomp.cli import main
+from anisomp.cli import _parse_grid, _unit_vector, main
 from anisomp.io import read_matrix, write_matrix
 
 
@@ -124,6 +126,7 @@ class TestMpLaw:
             (["--identity", "--d", "0.5", "--grid", "1:0:2"], 2),  # zero step
             (["--identity", "--d", "0.5", "--grid", "1:0.5:2", "--eta", "-1"], 2),  # eta < 0
             (["--identity", "--d", "0.5", "--grid", "1:0.5:2", "--eta", "nan"], 2),
+            (["--identity", "--d", "0.5", "--grid", "0.5:1:inf"], 2),  # non-finite stop
         ],
     )
     def test_bad_input_exit_codes(self, argv, code, capsys):
@@ -132,6 +135,60 @@ class TestMpLaw:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_edges_of_a_large_spectrum(self, tmp_path, capsys):
+        # Sigma = 50 I, d_N = 10: solved through the restarts of the eta ladder
+        path = tmp_path / "s50.txt"
+        a.write_spectrum_file(path, a.PopulationSpectrum((50.0,) * 10, 10.0))
+        code, out, err = run_cli(
+            ["mp-law", "--spectrum", str(path), "--edges-only", "--N", "50"], capsys
+        )
+        assert code == 0
+        assert err == ""
+        assert len(json.loads(out)["gamma"]) == 50
+
+
+@pytest.mark.filterwarnings("error")
+class TestParsers:
+    """Every grid or vector spec gives a finite grid or unit vector, or raises
+    ValueError."""
+
+    @given(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_grid(self, start, step, stop):
+        try:
+            grid = _parse_grid(f"{start!r}:{step!r}:{stop!r}")
+        except ValueError:
+            return
+        assert np.all(np.isfinite(grid))
+
+    @given(st.text(alphabet="e0123456789+-x", max_size=8), st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_named_vector(self, spec, n):
+        try:
+            v = _unit_vector(spec, n)
+        except ValueError:
+            return
+        assert v.shape == (n,)
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+
+    @given(entries=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_vector_file(self, entries, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(repr(x) for x in entries) + "\n")
+        try:
+            v = _unit_vector(f"@{path}", len(entries))
+        except ValueError:
+            return
+        assert np.all(np.isfinite(v))
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
 
 class TestCltKernel:
@@ -144,6 +201,18 @@ class TestCltKernel:
         assert code == 0
         data = json.loads(out)
         assert data["value"] == pytest.approx(0.05500734439491026, abs=1e-9)
+
+    @pytest.mark.parametrize("entries", ["0\n0\n0\n", "1\nnan\n0\n", "1\n1\n"])
+    def test_bad_vector_file_exit_two(self, entries, tmp_path, capsys):
+        path = tmp_path / "v.txt"
+        path.write_text(entries)
+        code, out, err = run_cli(
+            ["clt-kernel", "--identity", "--d", "0.5", "--n", "3", "--v1", f"@{path}"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_placement_error_exit_four(self, capsys):
         code, _, err = run_cli(

@@ -64,7 +64,6 @@ class TestSpikeEstimator:
             distribution=a.EntryDistribution.gaussian(),
             seed=0,
             N=N,
-            X=np.zeros((n, N)),
             sqrt_X=np.zeros((n, N)),
             eigenvalues=lam,
             eigenvectors=np.eye(n),
@@ -102,7 +101,6 @@ class TestSpikeEstimator:
             distribution=a.EntryDistribution.gaussian(),
             seed=0,
             N=8,
-            X=np.zeros((n, 8)),
             sqrt_X=np.zeros((n, 8)),
             eigenvalues=np.array([9.0, 1.0, 1.0, 1.0]),
             eigenvectors=np.eye(n),
@@ -218,6 +216,12 @@ class TestSphericity:
         bad[3, 5] = np.inf
         with pytest.raises(a.DegenerateData):
             a.sphericity_test(bad, _e(40), _e(40, 1))
+
+    def test_has_no_kappa_mode(self):
+        # the variance bound is always the positive-part per-row maximum
+        data = self._data(n=40, N=80, seed=2)
+        with pytest.raises(TypeError):
+            a.sphericity_test(data, _e(40), _e(40, 1), kappa_mode="gaussian")
 
     @pytest.mark.parametrize("margin", [0.0, -1.0, math.nan, math.inf])
     def test_bad_margin_rejected(self, margin):

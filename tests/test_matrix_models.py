@@ -22,18 +22,18 @@ class TestSampleEnsemble:
         assert np.trace(ens.sqrt_X @ ens.sqrt_X.T) == pytest.approx(
             np.sum(ens.eigenvalues)
         )
-        assert np.sum(ens.eigenvalues) == pytest.approx(np.linalg.norm(ens.X) ** 2)
+        assert np.sum(ens.eigenvalues) == pytest.approx(np.linalg.norm(ens.sqrt_X) ** 2)
 
     def test_rademacher_support(self):
         ens = _ensemble(6, 10, a.EntryDistribution.rademacher(), seed=2)
-        vals = np.abs(np.sqrt(ens.N) * ens.X)
+        vals = np.abs(np.sqrt(ens.N) * ens.sqrt_X)
         assert np.allclose(vals, 1.0)
 
     def test_seed_determinism(self):
         e1 = _ensemble(seed=7)
         e2 = _ensemble(seed=7)
         assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
-        assert np.array_equal(e1.X, e2.X)
+        assert np.array_equal(e1.sqrt_X, e2.sqrt_X)
         e3 = _ensemble(seed=8)
         assert not np.array_equal(e1.eigenvalues, e3.eigenvalues)
 
@@ -46,6 +46,13 @@ class TestSampleEnsemble:
         ens = _ensemble(30, 60)
         gram = ens.eigenvectors.T @ ens.eigenvectors
         assert np.max(np.abs(gram - np.eye(30))) < 1e-8
+
+    def test_from_data_is_the_sampled_ensemble(self):
+        model = a.PopulationModel.spiked(12, (0.5,))
+        ens = _ensemble(12, 20, seed=3, model=model)
+        again = a.SampleEnsemble.from_data(model, ens.sqrt_X, ens.distribution, ens.seed)
+        assert np.array_equal(again.eigenvalues, ens.eigenvalues)
+        assert np.array_equal(again.eigenvectors, ens.eigenvectors)
 
     def test_desk_scale_bound(self):
         with pytest.raises(ValueError):
@@ -75,7 +82,7 @@ class TestVESD:
         u = np.ones(1)
         assert a.vesd_eval(ens, u, lam + 1e-12) == pytest.approx(1.0)
         assert a.vesd_eval(ens, u, lam - 1e-9) == 0.0
-        assert lam == pytest.approx(ens.X[0, 0] ** 2)
+        assert lam == pytest.approx(ens.sqrt_X[0, 0] ** 2)
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
@@ -167,7 +174,6 @@ class TestPlugInStieltjes:
             distribution=a.EntryDistribution.gaussian(),
             seed=0,
             N=3,
-            X=np.zeros((3, 3)),
             sqrt_X=np.zeros((3, 3)),
             eigenvalues=np.array([3.0, 2.0, 1.0]),
             eigenvectors=np.eye(3),
@@ -227,7 +233,6 @@ class TestKappa4Hat:
             distribution=a.EntryDistribution.gaussian(),
             seed=0,
             N=4,
-            X=np.zeros((3, 4)),
             sqrt_X=np.zeros((3, 4)),
             eigenvalues=np.zeros(3),
             eigenvectors=np.eye(3),
@@ -276,16 +281,3 @@ class TestRigidityQualitative:
             edge.append(dev[0])
             bulk.append(np.median(dev[n // 4 : 3 * n // 4]))
         assert np.median(edge) > np.median(bulk)
-
-
-class TestEnsembleCache:
-    def test_round_trip(self, tmp_path):
-        ens = _ensemble(10, 20, seed=22)
-        cache = a.EnsembleCache(str(tmp_path))
-        u = np.zeros(10)
-        u[0] = 1.0
-        cache.store(ens, {"e1": u})
-        back = cache.load(22)
-        assert back["seed"] == 22
-        assert np.allclose(back["eigenvalues"], ens.eigenvalues)
-        assert np.allclose(back["projections"]["e1"], ens.projections(u))

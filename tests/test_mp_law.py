@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import anisomp as a
 from anisomp import mp_law
-from anisomp.mp_law import _atoms, _avg_sigma
+from anisomp.mp_law import _atoms
 
 # frozen oracle values computed from the closed-form null transform
 M_AT_4 = -0.3048058983988962
@@ -22,7 +22,8 @@ LAMBDA_MINUS = 0.08578643762690492
 
 def residual_of(m, z, pop):
     vals, wts = _atoms(pop)
-    return abs(1.0 - m * (-z + pop.aspect_ratio * _avg_sigma(m, vals, wts)))
+    avg = complex(np.sum(wts * vals / (1.0 + m * vals)))
+    return abs(1.0 - m * (-z + pop.aspect_ratio * avg))
 
 
 class TestSolve:
@@ -152,20 +153,22 @@ class TestBatchedPointSolves:
     """The point-independent kernels behind ``mp-law --grid``."""
 
     @pytest.mark.parametrize("eta", [1e-6, 0.5, 2.0])
-    def test_ladder_grid_matches_its_per_point_fallback(self, eta):
-        pop = a.PopulationSpectrum((4.0,) * 3 + (1.0,) * 9, 0.2)
-        vals, wts = mp_law._atoms(pop)
+    @pytest.mark.parametrize("sigma, d", [(1.0, 0.2), (4.0, 0.2), (1.0, 2.0)])
+    def test_ladder_grid_matches_closed_form(self, sigma, d, eta):
+        # Sigma = sigma I has m(z) = m_I(z / sigma) / sigma
+        pop = a.PopulationSpectrum((sigma,) * 10, d)
         E = np.linspace(0.05, 8.0, 40)
         got = mp_law._solve_ladder_grid(E, eta, pop)
-        cfg = mp_law.DEFAULT_SOLVER
-        want = [mp_law._solve_ladder(complex(e, eta), 0.2, vals, wts, cfg)[0] for e in E]
-        assert np.max(np.abs(got - np.array(want))) < 1e-12
+        want = [a.null_mp_m2c(complex(e, eta) / sigma, d) / sigma for e in E]
+        assert np.max(np.abs(got - np.array(want))) < 5e-12
 
     def test_rungs_descend_to_eta(self):
         assert mp_law._rungs(2.0) == [2.0]
         rungs = mp_law._rungs(1e-9)
         assert rungs[0] == 1.0 and rungs[-1] == 1e-9
         assert all(b < a for a, b in zip(rungs, rungs[1:]))
+        assert mp_law._rungs(1e-3, 100.0)[:2] == [100.0, 20.0]
+        assert mp_law._rungs(20.0, 100.0) == [20.0]
 
     @pytest.mark.parametrize("eta", [-1.0, 0.0, math.nan, math.inf])
     def test_rungs_reject_eta_off_the_half_plane(self, eta):
@@ -191,6 +194,32 @@ class TestBatchedPointSolves:
                     assert a.density_rho2c(e, pop) == dens
                 else:
                     assert dens == mm.imag / math.pi
+
+
+@pytest.mark.filterwarnings("error")
+class TestLargeSpectra:
+    """Sigma = sigma I at d = 10 for sigma = 50 and 200: the first eta rung
+    at 1 is small on the scale of the spectrum, and the restarts from higher
+    rungs must find the root with Im m > 0."""
+
+    D = 10.0
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-9, 1e-3])
+    @pytest.mark.parametrize("sigma", [50.0, 200.0])
+    def test_points_match_scaled_closed_form(self, sigma, eta):
+        pop = a.PopulationSpectrum((sigma,) * 10, self.D)
+        # below E = 1 the closed form itself loses digits near E = 0.011
+        E = np.linspace(1.0, 1.2 * sigma * (1.0 + math.sqrt(self.D)) ** 2, 400)
+        m = mp_law.solve_m2c_points(E, eta, pop)[0]
+        want = np.array([a.null_mp_m2c(complex(e, eta) / sigma, self.D) / sigma for e in E])
+        assert np.max(np.abs(m - want) / np.abs(want)) < 1e-10
+
+    def test_classical_locations_scale(self):
+        one = a.support_structure(a.PopulationSpectrum((1.0,) * 10, self.D), 50)
+        big = a.support_structure(a.PopulationSpectrum((50.0,) * 10, self.D), 50)
+        want = 50.0 * np.asarray(one.classical_locations)
+        got = np.asarray(big.classical_locations)
+        assert np.max(np.abs(got - want) / want) < 1e-9
 
 
 class TestDerivative:
