@@ -23,7 +23,6 @@ from .errors import (
 from .mp_law import (
     PopulationSpectrum,
     RegularityReport,
-    SolverConfig,
     StieltjesValue,
     SupportStructure,
     anisotropic_density,

@@ -29,7 +29,7 @@ from .experiments import REPRODUCIBLE_NAMES, reproduce
 from .io import read_matrix
 from .matrix_models import SampleEnsemble
 from .mp_law import (
-    DEFAULT_SOLVER,
+    OMEGA,
     PopulationSpectrum,
     as_unit_vector,
     read_spectrum_file,
@@ -74,6 +74,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if step == 0.0:
         raise ValueError(f"grid step must be nonzero, got {spec!r}")
     span = (stop - start) / step + 1e-9
+    if span < 0.0:
+        raise ValueError(f"grid step must point from start to stop, got {spec!r}")
     if not (math.isfinite(span) and span < MAX_GRID_POINTS):
         raise ValueError(f"grid must have at most {MAX_GRID_POINTS} points, got {spec!r}")
     return start + step * np.arange(int(math.floor(span)) + 1)
@@ -147,11 +149,10 @@ def cmd_mp_law(args) -> int:
             return EXIT_OK
         if energies is None:
             return _fail("error: provide --grid or --edges-only", EXIT_PARSE)
-        omega = DEFAULT_SOLVER.omega
-        too_low = energies[np.abs(energies) < omega] if args.eta == 0.0 else ()
+        too_low = energies[np.abs(energies) < OMEGA] if args.eta == 0.0 else ()
         if len(too_low):
             return _fail(
-                f"placement error: grid point E = {too_low[0]:.12g} has |E| < omega = {omega}",
+                f"placement error: grid point E = {too_low[0]:.12g} has |E| < omega = {OMEGA}",
                 EXIT_PLACEMENT,
             )
         # each point is solved on its own, so the rows are those of

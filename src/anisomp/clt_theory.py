@@ -24,14 +24,14 @@ import numpy as np
 
 from .errors import OutsideDomain, PositivityViolation, QuadratureFailure
 from .mp_law import (
-    DEFAULT_SOLVER,
-    SolverConfig,
-    _edges,
-    _outside_edges,
+    ETA0,
+    OMEGA,
     as_unit_vector,
     m2c_derivative,
     solve_m2c,
     solve_m2c_grid,
+    support_distance,
+    support_edges,
 )
 from .populations import FourthCumulantProfile, Population
 
@@ -46,7 +46,6 @@ __all__ = [
     "linear_stat_covariance",
     "pv_double_integral",
     "variance_positivity",
-    "outside_distance",
 ]
 
 
@@ -145,34 +144,22 @@ class CovarianceValue:
 # boundary values of m
 
 
-def _m_at(z: complex, pop: Population, config: SolverConfig) -> complex:
+def _m_at(z: complex, pop: Population) -> complex:
     z = complex(z)
     if z.imag < 0:
-        return np.conj(solve_m2c(np.conj(z), pop.spectrum, config).m)
-    return solve_m2c(z, pop.spectrum, config).m
+        return np.conj(solve_m2c(np.conj(z), pop.spectrum).m)
+    return solve_m2c(z, pop.spectrum).m
 
 
-def _m_prime_at(z: complex, pop: Population, config: SolverConfig) -> complex:
+def _m_prime_at(z: complex, pop: Population) -> complex:
     z = complex(z)
     if z.imag < 0:
-        return np.conj(m2c_derivative(np.conj(z), pop.spectrum, config))
-    return m2c_derivative(z, pop.spectrum, config)
+        return np.conj(m2c_derivative(np.conj(z), pop.spectrum))
+    return m2c_derivative(z, pop.spectrum)
 
 
-def outside_distance(E: float, pop: Population, config: SolverConfig = DEFAULT_SOLVER) -> float:
-    """Distance from real E to the support of the law (0 inside)."""
-    edges = _edges(pop.spectrum)
-    best = math.inf
-    for k in range(len(edges) // 2):
-        hi, lo = edges[2 * k], edges[2 * k + 1]
-        if lo <= E <= hi:
-            return 0.0
-        best = min(best, abs(E - lo), abs(E - hi))
-    return best
-
-
-def _require_outside(E: float, pop: Population, margin: float, config: SolverConfig) -> None:
-    if E < config.omega or outside_distance(E, pop, config) < margin:
+def _require_outside(E: float, pop: Population, margin: float) -> None:
+    if E < OMEGA or support_distance(E, pop.spectrum) < margin:
         raise OutsideDomain(f"E = {E} is not at distance >= {margin} from the support")
 
 
@@ -187,12 +174,11 @@ def alpha_kernel(
     v2: np.ndarray,
     pop: Population,
     kappa: FourthCumulantProfile,
-    config: SolverConfig = DEFAULT_SOLVER,
 ) -> float:
     """Fourth-cumulant kernel at real energies (boundary values of m)."""
     v1, v2 = as_unit_vector(v1), as_unit_vector(v2)
-    m1 = _m_at(complex(x1, 0.0), pop, config)
-    m2 = _m_at(complex(x2, 0.0), pop, config)
+    m1 = _m_at(complex(x1, 0.0), pop)
+    m2 = _m_at(complex(x2, 0.0), pop)
     s = kappa.row_weights(pop.n)
     a1 = np.imag(m1 / x1 * pop.model.phi(m1, v1) ** 2)
     a2 = np.imag(m2 / x2 * pop.model.phi(m2, v2) ** 2)
@@ -205,12 +191,11 @@ def beta_kernel(
     v1: np.ndarray,
     v2: np.ndarray,
     pop: Population,
-    config: SolverConfig = DEFAULT_SOLVER,
 ) -> float:
     """Universal two-point kernel at real energies; zero on the diagonal."""
     v1, v2 = as_unit_vector(v1), as_unit_vector(v2)
-    m1 = _m_at(complex(x1, 0.0), pop, config)
-    m2 = _m_at(complex(x2, 0.0), pop, config)
+    m1 = _m_at(complex(x1, 0.0), pop)
+    m2 = _m_at(complex(x2, 0.0), pop)
     c_mixed = pop.model.sigma_bilinear(m1, np.conj(m2), v1, v2)
     c_plain = pop.model.sigma_bilinear(m1, m2, v1, v2)
     term1 = np.real((m1 - np.conj(m2)) / (x1 * x2) * c_mixed**2)
@@ -225,12 +210,11 @@ def alpha_hat(
     v2: np.ndarray,
     pop: Population,
     kappa: FourthCumulantProfile,
-    config: SolverConfig = DEFAULT_SOLVER,
 ) -> complex:
     """Complex fourth-cumulant kernel for the resolvent process."""
     v1, v2 = as_unit_vector(v1), as_unit_vector(v2)
-    m1 = _m_at(z1, pop, config)
-    m2 = _m_at(z2, pop, config)
+    m1 = _m_at(z1, pop)
+    m2 = _m_at(z2, pop)
     s = kappa.row_weights(pop.n)
     p1 = pop.model.phi(m1, v1) ** 2
     p2 = pop.model.phi(m2, v2) ** 2
@@ -243,18 +227,17 @@ def beta_hat(
     v1: np.ndarray,
     v2: np.ndarray,
     pop: Population,
-    config: SolverConfig = DEFAULT_SOLVER,
 ) -> complex:
     """Universal resolvent kernel; the difference quotient of m becomes
     m'(z1) when the arguments coincide."""
     v1, v2 = as_unit_vector(v1), as_unit_vector(v2)
     z1, z2 = complex(z1), complex(z2)
-    m1 = _m_at(z1, pop, config)
+    m1 = _m_at(z1, pop)
     if abs(z1 - z2) < 1e-10:
-        dq = _m_prime_at(z1, pop, config)
+        dq = _m_prime_at(z1, pop)
         m2 = m1
     else:
-        m2 = _m_at(z2, pop, config)
+        m2 = _m_at(z2, pop)
         dq = (m1 - m2) / (z1 - z2)
     c = pop.model.sigma_bilinear(m1, m2, v1, v2)
     return complex(2.0 * dq / (z1 * z2) * c**2)
@@ -273,7 +256,6 @@ def resolvent_covariance(
     w1: complex | None = None,
     w2: complex | None = None,
     margin: float | None = None,
-    config: SolverConfig = DEFAULT_SOLVER,
 ) -> complex:
     """Limiting covariance of the resolvent process.
 
@@ -286,25 +268,21 @@ def resolvent_covariance(
         if z1 is None or z2 is None:
             raise ValueError("global mode needs z1, z2")
         kappa = kappa or FourthCumulantProfile.gaussian()
-        return alpha_hat(z1, z2, v1, v2, pop, kappa, config) + beta_hat(
-            z1, z2, v1, v2, pop, config
-        )
+        return alpha_hat(z1, z2, v1, v2, pop, kappa) + beta_hat(z1, z2, v1, v2, pop)
     if mode == "local":
         if E is None or w1 is None or w2 is None:
             raise ValueError("local mode needs E, w1, w2")
         if (complex(w1).imag) * (complex(w2).imag) >= 0:
             return 0.0 + 0.0j
-        m = _m_at(complex(E, 0.0), pop, config)
+        m = _m_at(complex(E, 0.0), pop)
         c = pop.model.sigma_bilinear(m, np.conj(m), v1, v2)
         return complex(4.0j * m.imag / (E**2 * (complex(w1) - complex(w2))) * c**2)
     if mode == "outside":
         if E is None:
             raise ValueError("outside mode needs E")
         kappa = kappa or FourthCumulantProfile.gaussian()
-        _require_outside(E, pop, pop.tau if margin is None else margin, config)
-        val = alpha_hat(E, E, v1, v2, pop, kappa, config) + beta_hat(
-            E, E, v1, v2, pop, config
-        )
+        _require_outside(E, pop, pop.tau if margin is None else margin)
+        val = alpha_hat(E, E, v1, v2, pop, kappa) + beta_hat(E, E, v1, v2, pop)
         return float(np.real(val))
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -315,13 +293,10 @@ def variance_positivity(
     pop: Population,
     kappa: FourthCumulantProfile,
     margin: float | None = None,
-    config: SolverConfig = DEFAULT_SOLVER,
 ) -> float:
     """alpha_hat + beta_hat at (E, E, v, v), the outside ``resolvent_covariance``
     of v with itself; provably >= 0 off the support."""
-    val = resolvent_covariance(
-        "outside", pop, v, v, kappa=kappa, E=E, margin=margin, config=config
-    )
+    val = resolvent_covariance("outside", pop, v, v, kappa=kappa, E=E, margin=margin)
     if val < -1e-12:
         raise PositivityViolation(f"variance kernel evaluated to {val} < -1e-12")
     return val
@@ -428,7 +403,7 @@ def pv_double_integral(
 
 
 def _support_nodes(
-    pop: Population, total_points: int, config: SolverConfig
+    pop: Population, total_points: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quadrature nodes/weights over the support bulks plus m on the nodes.
 
@@ -438,7 +413,7 @@ def _support_nodes(
     Every bulk holds whole 16-node Gauss panels and the nodes ascend, so the
     rows that ``solve_m2c_grid`` marches are exactly these panels.
     """
-    edges = _edges(pop.spectrum)
+    edges = support_edges(pop.spectrum)
     bulks = [(edges[2 * k + 1], edges[2 * k]) for k in range(len(edges) // 2)]
     bulks = bulks[::-1]  # ascending
     widths = np.array([hi - lo for lo, hi in bulks])
@@ -454,7 +429,7 @@ def _support_nodes(
     w = np.concatenate(ws)
     order = np.argsort(x)
     x, w = x[order], w[order]
-    m = solve_m2c_grid(x, config.eta0, pop.spectrum, config)
+    m = solve_m2c_grid(x, ETA0, pop.spectrum)
     return x, w, m
 
 
@@ -476,15 +451,6 @@ def _contraction_grid(
     return left @ right.T
 
 
-def _contraction_diag(
-    pop: Population, v1: np.ndarray, v2: np.ndarray, ma: np.ndarray, mb: np.ndarray
-) -> np.ndarray:
-    """C(ma_i, mb_i) for paired entries of ma and mb."""
-    sig, wts = pop.model.pair_weights(v1, v2)
-    denom = (1.0 + np.multiply.outer(ma, sig)) * (1.0 + np.multiply.outer(mb, sig))
-    return np.sum((wts * sig) / denom, axis=1)
-
-
 def linear_stat_covariance(
     mode: str,
     f_i: TestFunction,
@@ -497,7 +463,6 @@ def linear_stat_covariance(
     kappa: FourthCumulantProfile,
     *,
     grid_points: int = 2000,
-    config: SolverConfig = DEFAULT_SOLVER,
 ) -> CovarianceValue:
     """Limiting covariance of linear eigenvector statistics.
 
@@ -508,10 +473,9 @@ def linear_stat_covariance(
     """
     v_i, v_j = as_unit_vector(v_i), as_unit_vector(v_j)
     if mode == "local":
-        edges = _edges(pop.spectrum)
-        if _outside_edges(E, edges):
+        if support_distance(E, pop.spectrum) > 0.0:
             return CovarianceValue("local", 0.0, 0.0)
-        m = _m_at(complex(E, 0.0), pop, config)
+        m = _m_at(complex(E, 0.0), pop)
         rho = max(m.imag / math.pi, 0.0)
         c = pop.model.sigma_bilinear(m, np.conj(m), v_i, v_j)
         lo = min(f_i.support[0], f_j.support[0])
@@ -523,7 +487,7 @@ def linear_stat_covariance(
     if mode != "global":
         raise ValueError(f"unknown mode {mode!r}")
 
-    x, w, m = _support_nodes(pop, grid_points, config)
+    x, w, m = _support_nodes(pop, grid_points)
     fi_x, fj_x = f_i(x), f_j(x)
 
     # fourth-cumulant term: separable over original coordinates
@@ -549,8 +513,8 @@ def linear_stat_covariance(
     pv_val, pv_err = _pv_on_grid(values, x, w, x, w, base_delta=None)
     term2 = pv_val / math.pi**2
 
-    # diagonal density term
-    c_diag = _contraction_diag(pop, v_i, v_j, m, np.conj(m))
+    # diagonal density term: C(m_i, conj m_i) is the diagonal of c_mixed
+    c_diag = np.diagonal(c_mixed)
     rho = np.maximum(m.imag, 0.0) / math.pi
     term3 = 2.0 * float(np.sum(w * fi_x * fj_x * rho / x**2 * np.real(c_diag**2)))
 

@@ -74,9 +74,7 @@ class ExperimentConfig:
     alpha: float = 2.0
     omega: float = 0.05
     e_margin: float = 1.0
-    kappa_mode: str | None = None
     workers: int = 1
-    out_dir: str | None = None
     budget: float = DEFAULT_BUDGET
 
     @property
@@ -434,9 +432,7 @@ def run_coverage(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     report = _new_report(cfg)
     method = cfg.mode or "spike"
-    kappa_mode = cfg.kappa_mode or (
-        "gaussian" if cfg.distribution.kind == "gaussian" else "pooled"
-    )
+    kappa_mode = "gaussian" if cfg.distribution.kind == "gaussian" else "pooled"
     for sigma in cfg.sigma_grid:
         rows = _map_trials(
             partial(

@@ -15,13 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EigenFailure, NearSingular, QuadratureFailure
-from .mp_law import (
-    DEFAULT_SOLVER,
-    SolverConfig,
-    as_unit_vector,
-    solve_m2c_grid,
-    support_edges,
-)
+from .mp_law import ETA0, as_unit_vector, solve_m2c_grid, support_edges
 from .clt_theory import TestFunction, _gl_panels, _m_at
 from .populations import (
     EntryDistribution,
@@ -163,7 +157,6 @@ def y_statistic(
     E: float,
     eta: float,
     w: complex,
-    config: SolverConfig = DEFAULT_SOLVER,
     *,
     m: complex | None = None,
 ) -> complex:
@@ -179,7 +172,7 @@ def y_statistic(
     z = _y_point(E, eta, w)
     scale = np.sqrt(ens.N) if eta == 0.0 else np.sqrt(ens.N * eta)
     if m is None:
-        m = _m_at(z, pop, config)
+        m = _m_at(z, pop)
     r = resolvent_bilinear(ens, v, v, z)
     centering = pop.model.inv_bilinear(m, v, v) / z
     return scale * (r + centering)
@@ -190,21 +183,12 @@ def _y_point(E: float, eta: float, w: complex) -> complex:
     return complex(E, 0.0) if eta == 0.0 else complex(E) + complex(w) * eta
 
 
-def _y_m_at(
-    pop: Population, E: float, eta: float, w: complex, config: SolverConfig = DEFAULT_SOLVER
-) -> complex:
+def _y_m_at(pop: Population, E: float, eta: float, w: complex) -> complex:
     """m(z) at the point ``y_statistic`` reads for (E, eta, w)."""
-    return _m_at(_y_point(E, eta, w), pop, config)
+    return _m_at(_y_point(E, eta, w), pop)
 
 
-def z_statistic(
-    ens: SampleEnsemble,
-    v: np.ndarray,
-    f: TestFunction,
-    E: float,
-    eta: float,
-    config: SolverConfig = DEFAULT_SOLVER,
-) -> float:
+def z_statistic(ens: SampleEnsemble, v: np.ndarray, f: TestFunction, E: float, eta: float) -> float:
     """Centered linear eigenvector statistic at scale eta around E.
 
     sqrt(N/eta) [ sum_k |<xi_k, v>|^2 f((lambda_k - E)/eta)
@@ -214,9 +198,7 @@ def z_statistic(
     proj2 = ens.projections(v) ** 2
     emp = float(np.sum(proj2 * f((ens.eigenvalues - E) / eta)))
     sig, wts = ens.model.pair_weights(v, v)
-    cent = _centering_integral(
-        ens.pop.spectrum, tuple(sig), tuple(wts), f, E, eta, config
-    )
+    cent = _centering_integral(ens.pop.spectrum, tuple(sig), tuple(wts), f, E, eta)
     return float(np.sqrt(ens.N / eta) * (emp - cent))
 
 
@@ -228,7 +210,6 @@ def _centering_integral(
     f: TestFunction,
     E: float,
     eta: float,
-    config: SolverConfig,
     n_panels: int = 48,
 ) -> float:
     """integral f((x-E)/eta) dF_{1c,v}(x) by Gauss panels over supp f.
@@ -252,7 +233,7 @@ def _centering_integral(
     total = 0.0
     for p_lo, p_hi in pieces:
         u, wu = _gl_panels(p_lo, p_hi, n_panels, 8)
-        m = solve_m2c_grid(u, config.eta0, spectrum, config)
+        m = solve_m2c_grid(u, ETA0, spectrum)
         rho = np.maximum(m.imag, 0.0) / np.pi
         acc = np.zeros_like(u)
         for s, wgt in zip(sig, wts):

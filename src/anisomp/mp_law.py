@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -30,7 +30,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SolverConfig",
     "PopulationSpectrum",
     "StieltjesValue",
     "SupportStructure",
@@ -42,6 +41,7 @@ __all__ = [
     "density_rho2c",
     "support_structure",
     "support_edges",
+    "support_distance",
     "regularity_check",
     "anisotropic_density",
     "anisotropic_density_from_weights",
@@ -53,24 +53,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Numerical knobs for the self-consistent solver.
-
-    ``omega`` is the domain cutoff: boundary evaluations (eta = 0) require
-    |E| >= omega.  ``eta0`` regularizes the eta -> 0+ limit; results are
-    confirmed stable under halving eta0.
-    """
-
-    omega: float = 1e-2
-    eta0: float = 1e-9
-    damping: float = 0.5
-    newton_switch: float = 1e-3
-    residual_tol: float = 1e-12
-    max_iter: int = 10_000
-
-
-DEFAULT_SOLVER = SolverConfig()
+# Solver constants.  Boundary evaluations (eta = 0) require |E| >= OMEGA.
+# ETA0 regularizes the eta -> 0+ limit: the boundary solve and the bulk
+# quadratures descend the eta ladder to E + i*ETA0.  The damped fixed point
+# (step DAMPING, at most MAX_ITER sweeps) hands over to Newton once a step
+# is below NEWTON_SWITCH relative to max(1, |m|), and a point is converged
+# once |m h(m)| <= RESIDUAL_TOL.
+OMEGA = 1e-2
+ETA0 = 1e-9
+DAMPING = 0.5
+NEWTON_SWITCH = 1e-3
+RESIDUAL_TOL = 1e-12
+MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -269,7 +263,7 @@ def _off_branch(m: np.ndarray, res: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _descend(
-    E: np.ndarray, rungs: list[float], pop: PopulationSpectrum, cfg: SolverConfig
+    E: np.ndarray, rungs: list[float], pop: PopulationSpectrum
 ) -> tuple[np.ndarray, np.ndarray]:
     """One descent of the eta ladder ``rungs`` for an array of E.
 
@@ -285,30 +279,25 @@ def _descend(
     m = -1.0 / z
     wv = wts * vals
     live = np.arange(E.size)
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         if live.size == 0:
             break
         ml = m[live]
         avg = (wv / (1.0 + np.multiply.outer(ml, vals))).sum(axis=-1)
         step = 1.0 / (-z[live] + d * avg) - ml
-        moving = ~(np.abs(step) <= cfg.newton_switch * np.maximum(1.0, np.abs(ml)))
-        m[live[moving]] = ml[moving] + cfg.damping * step[moving]
+        moving = ~(np.abs(step) <= NEWTON_SWITCH * np.maximum(1.0, np.abs(ml)))
+        m[live[moving]] = ml[moving] + DAMPING * step[moving]
         live = live[moving & np.isfinite(step)]
-    m, res = _newton_grid(m, z, d, vals, wts, cfg.residual_tol)
-    failed = ~(res <= cfg.residual_tol)
+    m, res = _newton_grid(m, z, d, vals, wts, RESIDUAL_TOL)
+    failed = ~(res <= RESIDUAL_TOL)
     for rung in rungs[1:]:
         z = E + 1j * rung
-        m, res = _newton_grid(m, z, d, vals, wts, cfg.residual_tol)
-        failed |= ~(res <= cfg.residual_tol)
-    return m, failed | _off_branch(m, res, cfg.residual_tol)
+        m, res = _newton_grid(m, z, d, vals, wts, RESIDUAL_TOL)
+        failed |= ~(res <= RESIDUAL_TOL)
+    return m, failed | _off_branch(m, res, RESIDUAL_TOL)
 
 
-def _solve_ladder_grid(
-    energies: np.ndarray,
-    eta: float,
-    pop: PopulationSpectrum,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-) -> np.ndarray:
+def _solve_ladder_grid(energies: np.ndarray, eta: float, pop: PopulationSpectrum) -> np.ndarray:
     """The eta ladder to E + i*eta for a whole array of E at once.
 
     Every point descends the rungs of ``_rungs(eta)`` (``_descend``).  The
@@ -320,10 +309,10 @@ def _solve_ladder_grid(
     E = np.asarray(energies, dtype=float)
     top = 10.0
     with np.errstate(all="ignore"):  # a point may overflow before it is judged failed
-        m, failed = _descend(E, _rungs(eta), pop, cfg)
+        m, failed = _descend(E, _rungs(eta), pop)
         while failed.any() and top <= 1e6:
             k = np.nonzero(failed)[0]
-            m[k], failed[k] = _descend(E[k], _rungs(eta, top), pop, cfg)
+            m[k], failed[k] = _descend(E[k], _rungs(eta, top), pop)
             top *= 10.0
     if failed.any():
         z = complex(E[int(np.argmax(failed))], eta)
@@ -346,16 +335,12 @@ def _check_branch(z: np.ndarray | complex, m: np.ndarray | complex) -> None:
         raise BranchViolation(f"Im(z m) < 0 at z = {complex(z[int(np.argmax(low_zm))])!r}")
 
 
-def _solve_boundary(
-    energies: np.ndarray,
-    pop: PopulationSpectrum,
-    config: SolverConfig = DEFAULT_SOLVER,
-) -> tuple[np.ndarray, np.ndarray]:
+def _solve_boundary(energies: np.ndarray, pop: PopulationSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """Boundary values m(E + i0) and their residuals for an array of real E.
 
     Each point is solved on its own, so a point's value does not depend on
     the rest of the array.  The vectorised eta ladder (``_solve_ladder_grid``)
-    brings every point to E + i*eta0; Newton at eta = 0 then converges to the
+    brings every point to E + i*ETA0; Newton at eta = 0 then converges to the
     root with Im m > 0 inside a bulk, and to the real root outside the bulks,
     started there from Re m.  Once the residual tolerance is met, one more
     Newton step polishes every point: within about 1e-4 of an edge z'(m) is
@@ -365,15 +350,15 @@ def _solve_boundary(
     E = np.asarray(energies, dtype=float)
     vals, wts = _atoms(pop)
     d = pop.aspect_ratio
-    m = _solve_ladder_grid(E, config.eta0, pop, config)
-    m = np.where(_outside_edges(E, _edges(pop)), m.real + 0j, m)
+    m = _solve_ladder_grid(E, ETA0, pop)
+    m = np.where(support_distance(E, pop) > 0.0, m.real + 0j, m)
     z = E + 0j
-    m, _ = _newton_grid(m, z, d, vals, wts, config.residual_tol)
+    m, _ = _newton_grid(m, z, d, vals, wts, RESIDUAL_TOL)
     with np.errstate(all="ignore"):  # an edge point fails the residual check below
         h, hp = _defect_grid(m, z, d, vals, wts)
         m = m - h / hp
         res = np.abs(m * _defect_grid(m, z, d, vals, wts)[0])
-    failed = ~(res <= config.residual_tol)
+    failed = ~(res <= RESIDUAL_TOL)
     if failed.any():
         k = int(np.argmax(failed))
         raise NonConvergence(
@@ -392,16 +377,13 @@ def _solve_boundary(
 
 
 def solve_m2c_points(
-    energies: np.ndarray,
-    eta: float,
-    pop: PopulationSpectrum,
-    config: SolverConfig = DEFAULT_SOLVER,
+    energies: np.ndarray, eta: float, pop: PopulationSpectrum
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """m(E + i*eta), its residual and the density for an array of real E.
 
     Each point is solved on its own, so its values are those of a one-point
     call.  ``eta == 0`` encodes the boundary limit eta -> 0+ and is solved by
-    ``_solve_boundary`` (every |E| must be at least omega): the exact real
+    ``_solve_boundary`` (every |E| must be at least OMEGA): the exact real
     root outside the support, the complex root with Im m > 0 inside, each
     polished by Newton at eta = 0; the density is Im m/pi, exactly 0 off the
     support.  ``eta > 0`` descends the vectorised eta ladder and checks the
@@ -414,43 +396,34 @@ def solve_m2c_points(
             f"expects a finite eta = Im z >= 0, got {eta!r}; conjugate the result instead"
         )
     if eta == 0.0:
-        if np.any(np.abs(E) < config.omega):
-            raise ValueError(f"boundary evaluation requires |E| >= omega = {config.omega}")
-        m, res = _solve_boundary(E, pop, config)
-        rho = np.where(_outside_edges(E, _edges(pop)), 0.0, np.maximum(m.imag / math.pi, 0.0))
+        if np.any(np.abs(E) < OMEGA):
+            raise ValueError(f"boundary evaluation requires |E| >= omega = {OMEGA}")
+        m, res = _solve_boundary(E, pop)
+        rho = np.where(support_distance(E, pop) > 0.0, 0.0, np.maximum(m.imag / math.pi, 0.0))
         return m, res, rho
     vals, wts = _atoms(pop)
     z = E + 1j * eta
-    m = _solve_ladder_grid(E, eta, pop, config)
+    m = _solve_ladder_grid(E, eta, pop)
     _check_branch(z, m)
     res = np.abs(m * _defect_grid(m, z, pop.aspect_ratio, vals, wts)[0])
     return m, res, m.imag / math.pi
 
 
-def solve_m2c(
-    z: complex,
-    pop: PopulationSpectrum,
-    config: SolverConfig = DEFAULT_SOLVER,
-) -> StieltjesValue:
+def solve_m2c(z: complex, pop: PopulationSpectrum) -> StieltjesValue:
     """Solve the self-consistent equation at z = E + i*eta, eta >= 0.
 
     ``solve_m2c_points`` on the one point: ``Im z == 0`` is the boundary
     limit eta -> 0+, ``Im z > 0`` descends the eta ladder.
     """
     z = complex(z)
-    m, res, _ = solve_m2c_points(np.array([z.real]), z.imag, pop, config)
+    m, res, _ = solve_m2c_points(np.array([z.real]), z.imag, pop)
     return StieltjesValue(m=complex(m[0]), residual=float(res[0]))
 
 
 _PANEL = 16  # energies per row of the march in solve_m2c_grid, the Gauss order of the quadratures
 
 
-def solve_m2c_grid(
-    energies: np.ndarray,
-    eta: float,
-    pop: PopulationSpectrum,
-    config: SolverConfig = DEFAULT_SOLVER,
-) -> np.ndarray:
+def solve_m2c_grid(energies: np.ndarray, eta: float, pop: PopulationSpectrum) -> np.ndarray:
     """Solve at E + i*eta, eta > 0, along an ascending grid of real energies.
 
     The grid is cut into rows of 16 consecutive energies, the last row padded
@@ -465,16 +438,11 @@ def solve_m2c_grid(
         return np.empty(E.shape, dtype=complex)
     rows = -(-flat.size // _PANEL)
     padded = np.concatenate([flat, np.full(rows * _PANEL - flat.size, flat[-1])])
-    m = _solve_panels(padded.reshape(rows, _PANEL), eta, pop, config)
+    m = _solve_panels(padded.reshape(rows, _PANEL), eta, pop)
     return m.ravel()[: flat.size].reshape(E.shape)
 
 
-def _solve_panels(
-    energies: np.ndarray,
-    eta: float,
-    pop: PopulationSpectrum,
-    config: SolverConfig = DEFAULT_SOLVER,
-) -> np.ndarray:
+def _solve_panels(energies: np.ndarray, eta: float, pop: PopulationSpectrum) -> np.ndarray:
     """The warm-start march at E + i*eta on a (rows, cols) array whose rows
     ascend in E, vectorised across the rows.
 
@@ -487,24 +455,20 @@ def _solve_panels(
     vals, wts = _atoms(pop)
     d = pop.aspect_ratio
     m = np.empty(E.shape, dtype=complex)
-    m[:, 0] = _solve_ladder_grid(E[:, 0], eta, pop, config)
+    m[:, 0] = _solve_ladder_grid(E[:, 0], eta, pop)
     for j in range(1, E.shape[1]):
         z = E[:, j] + 1j * eta
-        m[:, j], res = _newton_grid(m[:, j - 1], z, d, vals, wts, config.residual_tol)
-        bad = _off_branch(m[:, j], res, config.residual_tol)
+        m[:, j], res = _newton_grid(m[:, j - 1], z, d, vals, wts, RESIDUAL_TOL)
+        bad = _off_branch(m[:, j], res, RESIDUAL_TOL)
         if bad.any():
-            m[bad, j] = _solve_ladder_grid(E[bad, j], eta, pop, config)
+            m[bad, j] = _solve_ladder_grid(E[bad, j], eta, pop)
     h, hp = _defect_grid(m, E + 1j * eta, d, vals, wts)
     return m - h / hp
 
 
-def m2c_derivative(
-    z: complex,
-    pop: PopulationSpectrum,
-    config: SolverConfig = DEFAULT_SOLVER,
-) -> complex:
+def m2c_derivative(z: complex, pop: PopulationSpectrum) -> complex:
     """m'(z) by implicit differentiation of the self-consistent equation."""
-    m = solve_m2c(z, pop, config).m
+    m = solve_m2c(z, pop).m
     vals, wts = _atoms(pop)
     avg_sq = complex(np.sum(wts * vals**2 / (1.0 + m * vals) ** 2))
     denom = 1.0 / m**2 - pop.aspect_ratio * avg_sq
@@ -513,17 +477,13 @@ def m2c_derivative(
     return 1.0 / denom
 
 
-def density_rho2c(
-    E: float,
-    pop: PopulationSpectrum,
-    config: SolverConfig = DEFAULT_SOLVER,
-) -> float:
+def density_rho2c(E: float, pop: PopulationSpectrum) -> float:
     """Density of the law at E: Im m(E + i0)/pi, exactly zero off-support."""
-    if E < config.omega:
-        raise ValueError(f"density requires E >= omega = {config.omega}")
-    if _outside_edges(E, _edges(pop)):  # no solve: a point a hair off an edge may not converge
+    if E < OMEGA:
+        raise ValueError(f"density requires E >= omega = {OMEGA}")
+    if support_distance(E, pop) > 0.0:  # no solve: a point a hair off an edge may not converge
         return 0.0
-    return float(solve_m2c_points(np.array([E]), 0.0, pop, config)[2][0])
+    return float(solve_m2c_points(np.array([E]), 0.0, pop)[2][0])
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +509,9 @@ def _interval_samples(lo: float, hi: float, n_side: int = 200) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _edges(pop: PopulationSpectrum) -> tuple[float, ...]:
-    """Support edges: critical values of z(m) at real critical points.
+def support_edges(pop: PopulationSpectrum) -> tuple[float, ...]:
+    """Edges of the support in descending order (no regularity gating):
+    critical values of z(m) at real critical points.
 
     Between consecutive poles of z(m) (at m = -1/sigma_a and m = 0) the sign
     changes of z'(m) are bracketed on geometric grids and refined by brentq.
@@ -599,17 +560,19 @@ def _edges(pop: PopulationSpectrum) -> tuple[float, ...]:
     return tuple(crit)
 
 
-def support_edges(pop: PopulationSpectrum) -> tuple[float, ...]:
-    """Edges of the support in descending order (no regularity gating)."""
-    return _edges(pop)
+def support_distance(E: float | np.ndarray, pop: PopulationSpectrum) -> float | np.ndarray:
+    """Distance from real E to the support of the law, 0 inside a bulk,
+    elementwise for arrays.
 
-
-def _outside_edges(E: float | np.ndarray, edges: Sequence[float]) -> bool | np.ndarray:
-    """Whether E lies in no bulk [edges[2k+1], edges[2k]], elementwise for arrays."""
-    inside = np.zeros(np.shape(E), dtype=bool)
+    Off bulk [lo, hi] one of lo - E and E - hi is positive and is the
+    distance to it.  A float difference has the sign of the exact one, so the
+    distance is 0 exactly when lo <= E <= hi for some bulk.
+    """
+    edges = support_edges(pop)
+    dist = np.inf
     for hi, lo in zip(edges[0::2], edges[1::2]):
-        inside |= (lo <= E) & (E <= hi)
-    return ~inside
+        dist = np.minimum(dist, np.maximum(np.maximum(lo - E, E - hi), 0.0))
+    return dist
 
 
 @lru_cache(maxsize=None)
@@ -643,14 +606,14 @@ class _BulkQuadrature:
 
 
 def _bulk_mass_panels(
-    pop: PopulationSpectrum, lo: float, hi: float, panels: int, cfg: SolverConfig
+    pop: PopulationSpectrum, lo: float, hi: float, panels: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     nodes, weights = _gl(16)
     t_bounds = np.linspace(-math.pi / 2, math.pi / 2, panels + 1)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     # (panels, 16): row k holds panel k's Gauss nodes, ascending in t and x
     t_all = 0.5 * (t_bounds[:-1] + t_bounds[1:])[:, None] + 0.5 * np.diff(t_bounds)[:, None] * nodes
-    m_all = _solve_panels(mid + half * np.sin(t_all), cfg.eta0, pop, cfg)
+    m_all = _solve_panels(mid + half * np.sin(t_all), ETA0, pop)
     integrand = np.maximum(m_all.imag, 0.0) / math.pi * (half * np.cos(t_all))
     per_panel = integrand @ weights * (0.5 * (t_bounds[1:] - t_bounds[:-1]))
     cum = np.concatenate([[0.0], np.cumsum(per_panel)])
@@ -661,15 +624,14 @@ def _bulk_mass_panels(
 
 @lru_cache(maxsize=64)
 def _bulk_quadratures(pop: PopulationSpectrum) -> tuple[_BulkQuadrature, ...]:
-    cfg = DEFAULT_SOLVER
-    edges = _edges(pop)
+    edges = support_edges(pop)
     out = []
     for k in range(len(edges) // 2):
         hi, lo = edges[2 * k], edges[2 * k + 1]
         panels = 64
-        t_b, cum, coeffs, mass = _bulk_mass_panels(pop, lo, hi, panels, cfg)
+        t_b, cum, coeffs, mass = _bulk_mass_panels(pop, lo, hi, panels)
         while panels < 1024:
-            t_b2, cum2, coeffs2, mass2 = _bulk_mass_panels(pop, lo, hi, panels * 2, cfg)
+            t_b2, cum2, coeffs2, mass2 = _bulk_mass_panels(pop, lo, hi, panels * 2)
             if abs(mass2 - mass) <= 1e-9:
                 t_b, cum, coeffs, mass = t_b2, cum2, coeffs2, mass2
                 break
@@ -693,7 +655,7 @@ def support_structure(pop: PopulationSpectrum, N: int) -> SupportStructure:
     tau = pop.regularity_margin
     if abs(d - 1.0) < tau:
         raise ValueError("whole-support functionality requires |d - 1| >= tau")
-    edges = _edges(pop)
+    edges = support_edges(pop)
     for a, b in zip(edges[:-1], edges[1:]):
         if a - b < tau:
             raise EdgeDegeneracy(f"edges {a} and {b} closer than tau = {tau}")
@@ -815,10 +777,7 @@ class RegularityReport:
 
 
 def regularity_check(
-    pop: PopulationSpectrum,
-    tau: float | None = None,
-    tau_prime: float | None = None,
-    config: SolverConfig = DEFAULT_SOLVER,
+    pop: PopulationSpectrum, tau: float | None = None, tau_prime: float | None = None
 ) -> RegularityReport:
     """Report-only evaluation of the edge/bulk regularity conditions."""
     tau = pop.regularity_margin if tau is None else tau
@@ -826,12 +785,12 @@ def regularity_check(
     d = pop.aspect_ratio
     frac_small = sum(1 for v in pop.eigenvalues if v <= tau) / pop.n
 
-    edges = _edges(pop)
+    edges = support_edges(pop)
     sigmas = np.asarray(_atoms(pop)[0])
     edge_flags = []
     for a in edges:
         gaps = [abs(a - b) for b in edges if b != a]
-        m_edge = solve_m2c(complex(a, config.eta0), pop, config).m
+        m_edge = solve_m2c(complex(a, ETA0), pop).m
         min_abs = float(np.min(np.abs(1.0 + m_edge * sigmas)))
         edge_flags.append(
             EdgeFlags(
@@ -851,7 +810,7 @@ def regularity_check(
             bulk_flags.append(BulkFlags(lo=lo, hi=hi, interior_density_min=0.0))
             continue
         xs = np.linspace(a, b, 101)
-        m = solve_m2c_grid(xs, config.eta0, pop, config)
+        m = solve_m2c_grid(xs, ETA0, pop)
         bulk_flags.append(
             BulkFlags(lo=lo, hi=hi, interior_density_min=float(np.min(m.imag) / math.pi))
         )
@@ -872,18 +831,13 @@ def regularity_check(
 
 
 def anisotropic_density_from_weights(
-    E: float,
-    pop: PopulationSpectrum,
-    sigmas: np.ndarray,
-    weights: np.ndarray,
-    config: SolverConfig = DEFAULT_SOLVER,
+    E: float, pop: PopulationSpectrum, sigmas: np.ndarray, weights: np.ndarray
 ) -> float:
     """Direction-resolved density with the direction given as eigenbasis
     weights: sum_k w_k * rho(E) * sigma_k / (E * |1 + m(E) sigma_k|^2)."""
-    edges = _edges(pop)
-    if _outside_edges(E, edges):
+    if support_distance(E, pop) > 0.0:
         return 0.0
-    m = solve_m2c(complex(E, 0.0), pop, config).m
+    m = solve_m2c(complex(E, 0.0), pop).m
     rho = max(m.imag / math.pi, 0.0)
     sigmas = np.asarray(sigmas, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -892,11 +846,7 @@ def anisotropic_density_from_weights(
 
 
 def anisotropic_density(
-    E: float,
-    v: np.ndarray,
-    pop: PopulationSpectrum,
-    eigenvectors: np.ndarray | None = None,
-    config: SolverConfig = DEFAULT_SOLVER,
+    E: float, v: np.ndarray, pop: PopulationSpectrum, eigenvectors: np.ndarray | None = None
 ) -> float:
     """Density of the anisotropic law along direction v.
 
@@ -907,9 +857,7 @@ def anisotropic_density(
     if len(v) != pop.n:
         raise ValueError("direction vector length must equal the population dimension")
     vt = v if eigenvectors is None else eigenvectors.T @ v
-    return anisotropic_density_from_weights(
-        E, pop, np.asarray(pop.eigenvalues), vt**2, config
-    )
+    return anisotropic_density_from_weights(E, pop, np.asarray(pop.eigenvalues), vt**2)
 
 
 def as_unit_vector(v: Iterable[float], tol: float = 1e-12) -> np.ndarray:

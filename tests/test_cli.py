@@ -127,6 +127,8 @@ class TestMpLaw:
             (["--identity", "--d", "0.5", "--grid", "1:0.5:2", "--eta", "-1"], 2),  # eta < 0
             (["--identity", "--d", "0.5", "--grid", "1:0.5:2", "--eta", "nan"], 2),
             (["--identity", "--d", "0.5", "--grid", "0.5:1:inf"], 2),  # non-finite stop
+            (["--identity", "--d", "0.5", "--grid", "2:1:1"], 2),  # stop below start
+            (["--identity", "--d", "0.5", "--grid", "1:-1:2"], 2),  # stop above start
         ],
     )
     def test_bad_input_exit_codes(self, argv, code, capsys):
@@ -166,6 +168,7 @@ class TestParsers:
             grid = _parse_grid(f"{start!r}:{step!r}:{stop!r}")
         except ValueError:
             return
+        assert grid.size >= 1
         assert np.all(np.isfinite(grid))
 
     @given(st.text(alphabet="e0123456789+-x", max_size=8), st.integers(1, 6))

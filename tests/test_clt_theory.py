@@ -383,7 +383,7 @@ class TestContractions:
         )
 
     def test_grid_matches_per_entry_sum(self):
-        from anisomp.clt_theory import _contraction_diag, _contraction_grid
+        from anisomp.clt_theory import _contraction_grid
 
         diag = np.array([4.0, 1.0, 1.0, 2.5, 4.0, 0.7])
         pop = _pop(n=6, N=12, sig=diag)
@@ -397,8 +397,6 @@ class TestContractions:
         )
         got = _contraction_grid(pop, v1, v2, ma, mb)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        diag_got = _contraction_diag(pop, v1, v2, ma[:5], mb)
-        assert np.max(np.abs(diag_got - np.diag(want[:5]))) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("kind", ["identity", "diagonal", "spiked", "general"])
     def test_phi_rows_match_the_per_node_loop(self, kind):

@@ -86,10 +86,9 @@ class TestSolve:
 
     def test_eta_stability(self, null_pop_half):
         # boundary values stable in the regularization parameter away from edges
-        cfg_half = a.SolverConfig(eta0=0.5e-9)
         for E in (0.5, 1.0, 1.5, 2.0, 2.5):
             m1 = a.solve_m2c(complex(E, 1e-9), null_pop_half).m
-            m2 = a.solve_m2c(complex(E, 0.5e-9), null_pop_half, cfg_half).m
+            m2 = a.solve_m2c(complex(E, 0.5e-9), null_pop_half).m
             assert abs(m1 - m2) <= 1e-8
 
 
@@ -104,24 +103,22 @@ class TestPanelSolve:
         return (0.5 * (lo + hi) + 0.5 * (hi - lo) * np.sin(t)).reshape(rows, cols)
 
     def test_matches_closed_form(self):
-        cfg = mp_law.DEFAULT_SOLVER
         for d in (0.3, 0.5, 2.0):
             pop = a.PopulationSpectrum.identity(6, d)
             lp, lm = a.null_mp_edges(d)
             E = self.panels(lm, lp)
-            got = mp_law._solve_panels(E, cfg.eta0, pop)
-            want = np.array([a.null_mp_m2c(complex(e, cfg.eta0), d) for e in E.ravel()])
+            got = mp_law._solve_panels(E, mp_law.ETA0, pop)
+            want = np.array([a.null_mp_m2c(complex(e, mp_law.ETA0), d) for e in E.ravel()])
             assert np.max(np.abs(got.ravel() - want)) < 1e-10, d
 
     def test_matches_the_scalar_march(self):
-        cfg = mp_law.DEFAULT_SOLVER
         pop = a.PopulationSpectrum((4.0,) * 3 + (1.0,) * 9, 0.2)
         edges = a.support_edges(pop)
         for k in range(len(edges) // 2):
             E = self.panels(edges[2 * k + 1], edges[2 * k])
-            got = mp_law._solve_panels(E, cfg.eta0, pop)
+            got = mp_law._solve_panels(E, mp_law.ETA0, pop)
             for row, m_row in zip(E, got):
-                assert np.max(np.abs(m_row - a.solve_m2c_grid(row, cfg.eta0, pop))) < 1e-8
+                assert np.max(np.abs(m_row - a.solve_m2c_grid(row, mp_law.ETA0, pop))) < 1e-8
             assert np.min(got.imag) > 0.0
 
 
@@ -135,7 +132,7 @@ class TestBoundaryAccuracy:
         return np.array([lm + 1e-6, lm + 1e-4, lp - 1e-4, lp - 1e-6])
 
     def test_grid_matches_closed_form(self):
-        eta0 = mp_law.DEFAULT_SOLVER.eta0
+        eta0 = mp_law.ETA0
         pop = a.PopulationSpectrum.identity(8, self.D)
         x = self.points()
         got = a.solve_m2c_grid(x, eta0, pop)
