@@ -212,8 +212,8 @@ def cmd_estimate(args) -> int:
     except (OSError, ValueError) as exc:
         return _fail(f"error: {exc}", EXIT_PARSE)
     try:
-        model = PopulationModel.general(np.eye(n))  # structure unknown: raw data path
-        ens = SampleEnsemble.from_data(model, data)
+        # Sigma of raw data is unknown; the model only labels the ensemble
+        ens = SampleEnsemble.from_data(PopulationModel.identity(n), data)
         if args.E <= ens.lambda_1 + 1e-9:
             raise OutsideDomain(f"E = {args.E} inside the sample spectrum")
         if args.method == "spike":

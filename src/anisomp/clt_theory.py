@@ -26,6 +26,7 @@ from .errors import OutsideDomain, PositivityViolation, QuadratureFailure
 from .mp_law import (
     ETA0,
     OMEGA,
+    TAU,
     as_unit_vector,
     m2c_derivative,
     solve_m2c,
@@ -158,9 +159,9 @@ def _m_prime_at(z: complex, pop: Population) -> complex:
     return m2c_derivative(z, pop.spectrum)
 
 
-def _require_outside(E: float, pop: Population, margin: float) -> None:
-    if E < OMEGA or support_distance(E, pop.spectrum) < margin:
-        raise OutsideDomain(f"E = {E} is not at distance >= {margin} from the support")
+def _require_outside(E: float, pop: Population) -> None:
+    if E < OMEGA or support_distance(E, pop.spectrum) < TAU:
+        raise OutsideDomain(f"E = {E} is not at distance >= {TAU} from the support")
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +256,13 @@ def resolvent_covariance(
     E: float | None = None,
     w1: complex | None = None,
     w2: complex | None = None,
-    margin: float | None = None,
 ) -> complex:
     """Limiting covariance of the resolvent process.
 
     ``global``: alpha_hat + beta_hat at (z1, z2) in the upper/lower planes.
     ``local``: the indicator-gated bulk covariance at real E with scale
-    directions w1, w2.  ``outside``: the real variance kernel at E off the
-    support (raises OutsideDomain otherwise).
+    directions w1, w2.  ``outside``: the real variance kernel at E at least
+    TAU off the support (raises OutsideDomain otherwise).
     """
     if mode == "global":
         if z1 is None or z2 is None:
@@ -281,7 +281,7 @@ def resolvent_covariance(
         if E is None:
             raise ValueError("outside mode needs E")
         kappa = kappa or FourthCumulantProfile.gaussian()
-        _require_outside(E, pop, pop.tau if margin is None else margin)
+        _require_outside(E, pop)
         val = alpha_hat(E, E, v1, v2, pop, kappa) + beta_hat(E, E, v1, v2, pop)
         return float(np.real(val))
     raise ValueError(f"unknown mode {mode!r}")
@@ -292,11 +292,10 @@ def variance_positivity(
     v: np.ndarray,
     pop: Population,
     kappa: FourthCumulantProfile,
-    margin: float | None = None,
 ) -> float:
     """alpha_hat + beta_hat at (E, E, v, v), the outside ``resolvent_covariance``
     of v with itself; provably >= 0 off the support."""
-    val = resolvent_covariance("outside", pop, v, v, kappa=kappa, E=E, margin=margin)
+    val = resolvent_covariance("outside", pop, v, v, kappa=kappa, E=E)
     if val < -1e-12:
         raise PositivityViolation(f"variance kernel evaluated to {val} < -1e-12")
     return val

@@ -54,4 +54,4 @@ class DegenerateVariance(AnisompError):
 
 
 class BudgetExceeded(AnisompError):
-    """Requested experiment exceeds the configured size budget."""
+    """Requested experiment exceeds the size budget ``experiments.DEFAULT_BUDGET``."""

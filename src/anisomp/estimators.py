@@ -25,7 +25,6 @@ from .matrix_models import (
     resolvent_bilinear,
 )
 from .mp_law import as_unit_vector, null_mp_edges, null_mp_m2c, null_mp_m2c_prime
-from .populations import FourthCumulantProfile
 
 __all__ = [
     "EstimateWithInterval",
@@ -37,7 +36,7 @@ __all__ = [
     "confidence_from_alpha",
 ]
 
-KAPPA_MODES = ("gaussian", "pooled", "per-row-max", "delocalized", "custom")
+KAPPA_MODES = ("gaussian", "pooled", "per-row-max", "delocalized")
 
 
 def alpha_from_omega(omega: float) -> float:
@@ -108,31 +107,20 @@ class SphericityVerdict:
         return json.dumps(self.to_dict(), **kw)
 
 
-def _kappa_term(
-    ens: SampleEnsemble,
-    v: np.ndarray,
-    mode: str,
-    kappa: FourthCumulantProfile | None,
-) -> float:
+def _kappa_term(ens: SampleEnsemble, v: np.ndarray, mode: str) -> float:
     """(1/N) sum_{k,j} kappa4(k, j) v^4(k) under the chosen policy."""
     if mode not in KAPPA_MODES:
         raise ValueError(f"kappa mode must be one of {KAPPA_MODES}")
-    v2 = np.square(np.asarray(v, dtype=float))
-    v4 = v2 * v2
-    if mode == "gaussian":
-        return 0.0
-    if mode == "delocalized":
-        # ||v||_inf = o(1) waiver: the weighted cumulant sum is negligible
+    if mode in ("gaussian", "delocalized"):
+        # "delocalized" is the ||v||_inf = o(1) waiver: the weighted cumulant
+        # sum is negligible
         return 0.0
     if mode == "pooled":
+        v2 = np.square(np.asarray(v, dtype=float))
         prof = kappa4_hat(ens, "pooled")
-        return float(prof.values) * float(np.sum(v4))
-    if mode == "per-row-max":
-        prof = kappa4_hat(ens, "per-row")
-        return float(np.max(np.maximum(np.asarray(prof.values), 0.0)))
-    if kappa is None:
-        raise ValueError("custom kappa mode requires an explicit profile")
-    return float(np.sum(kappa.row_weights(ens.n) * v4))
+        return float(prof.values) * float(np.sum(v2 * v2))
+    prof = kappa4_hat(ens, "per-row")  # per-row-max
+    return float(np.max(np.maximum(np.asarray(prof.values), 0.0)))
 
 
 def estimate_spike_strength(
@@ -142,7 +130,6 @@ def estimate_spike_strength(
     *,
     alpha: float = 2.0,
     kappa_mode: str = "pooled",
-    kappa: FourthCumulantProfile | None = None,
     min_gap: float = 0.1,
 ) -> EstimateWithInterval:
     """Estimate the population eigenvalue along a known weak-spike direction.
@@ -157,7 +144,7 @@ def estimate_spike_strength(
     if E <= lam_plus + min_gap:
         raise OutsideDomain(f"E = {E} too close to the bulk edge {lam_plus}")
     m, m_prime = null_mp_m2c(E, d), null_mp_m2c_prime(E, d)
-    return _invert_resolvent(ens, v, E, m, m_prime, alpha, kappa_mode, kappa, "spike")
+    return _invert_resolvent(ens, v, E, m, m_prime, alpha, kappa_mode, "spike")
 
 
 def estimate_population_eigenvalue(
@@ -167,7 +154,6 @@ def estimate_population_eigenvalue(
     *,
     alpha: float = 2.0,
     kappa_mode: str = "gaussian",
-    kappa: FourthCumulantProfile | None = None,
     min_gap: float = 0.1,
 ) -> EstimateWithInterval:
     """Same inversion with the plug-in Stieltjes estimates, for general Sigma."""
@@ -175,7 +161,7 @@ def estimate_population_eigenvalue(
     if E <= ens.lambda_1 + min_gap:
         raise OutsideDomain(f"E = {E} not above lambda_1 + {min_gap} = {ens.lambda_1 + min_gap}")
     m, m_prime = m2c_hat(ens, E), m2c_hat_prime(ens, E)
-    return _invert_resolvent(ens, v, E, m, m_prime, alpha, kappa_mode, kappa, "population")
+    return _invert_resolvent(ens, v, E, m, m_prime, alpha, kappa_mode, "population")
 
 
 def _invert_resolvent(
@@ -186,7 +172,6 @@ def _invert_resolvent(
     m_prime: complex,
     alpha: float,
     kappa_mode: str,
-    kappa: FourthCumulantProfile | None,
     method: str,
 ) -> EstimateWithInterval:
     """The estimate both estimators share: invert R_vv(E) ~ -E^{-1}/(1 + m sigma)
@@ -197,7 +182,7 @@ def _invert_resolvent(
     m = float(np.real(m))
     m_prime = float(np.real(m_prime))
     point = -(1.0 / m) * (1.0 / (E * r) + 1.0)
-    kt = _kappa_term(ens, v, kappa_mode, kappa)
+    kt = _kappa_term(ens, v, kappa_mode)
     delta = alpha * abs(point) * math.sqrt(kt + 2.0 * m_prime / m**2)
     return EstimateWithInterval(
         point=point,

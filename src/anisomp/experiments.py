@@ -75,7 +75,6 @@ class ExperimentConfig:
     omega: float = 0.05
     e_margin: float = 1.0
     workers: int = 1
-    budget: float = DEFAULT_BUDGET
 
     @property
     def n(self) -> int:
@@ -197,7 +196,7 @@ def _map_trials(fn, n_trials: int, workers: int) -> list:
 
 
 def _check_budget(cfg: ExperimentConfig) -> None:
-    if cfg.n * cfg.N * cfg.trial_count > cfg.budget:
+    if cfg.n * cfg.N * cfg.trial_count > DEFAULT_BUDGET:
         raise BudgetExceeded(
             f"{cfg.name}: {cfg.trial_count} trials of size {cfg.n}x{cfg.N} exceed the budget"
         )

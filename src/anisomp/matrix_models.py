@@ -116,14 +116,12 @@ def sample_ensemble(
     N: int,
     dist: EntryDistribution,
     seed: int,
-    *,
-    max_n: int = MAX_DESK_N,
 ) -> SampleEnsemble:
     """Draw X and wrap Sigma^{1/2} X (``SampleEnsemble.from_data``),
-    deterministically in seed."""
+    deterministically in seed; n may not exceed MAX_DESK_N."""
     n = model.n
-    if n > max_n:
-        raise ValueError(f"n = {n} exceeds the desk-scale bound {max_n}")
+    if n > MAX_DESK_N:
+        raise ValueError(f"n = {n} exceeds the desk-scale bound {MAX_DESK_N}")
     rng = np.random.default_rng(seed)
     X = dist.sample(rng, (n, N)) / np.sqrt(N)
     return SampleEnsemble.from_data(model, model.sqrt_apply(X), dist, seed)
@@ -210,9 +208,8 @@ def _centering_integral(
     f: TestFunction,
     E: float,
     eta: float,
-    n_panels: int = 48,
 ) -> float:
-    """integral f((x-E)/eta) dF_{1c,v}(x) by Gauss panels over supp f.
+    """integral f((x-E)/eta) dF_{1c,v}(x) by 48 Gauss panels over supp f.
 
     Deterministic per (population, direction weights, f, E, eta); cached so
     Monte-Carlo sweeps pay for the quadrature once.
@@ -232,7 +229,7 @@ def _centering_integral(
             pieces.append((p_lo, p_hi))
     total = 0.0
     for p_lo, p_hi in pieces:
-        u, wu = _gl_panels(p_lo, p_hi, n_panels, 8)
+        u, wu = _gl_panels(p_lo, p_hi, 48, 8)
         m = solve_m2c_grid(u, ETA0, spectrum)
         rho = np.maximum(m.imag, 0.0) / np.pi
         acc = np.zeros_like(u)

@@ -66,35 +66,40 @@ NEWTON_SWITCH = 1e-3
 RESIDUAL_TOL = 1e-12
 MAX_ITER = 10_000
 
+# The regularity margin tau of the paper's assumptions: tau <= d <= 1/tau,
+# sigma_1 <= 1/tau, edges at least tau apart, and the distance an outside E
+# keeps from the support.
+TAU = 0.05
+
 
 @dataclass(frozen=True)
 class PopulationSpectrum:
     """Eigenvalues of the population covariance plus the aspect ratio n/N.
 
     ``eigenvalues`` are stored descending; exact ties are merged into
-    weighted atoms before any solve.  ``regularity_margin`` is the tau used
-    by regularity checks and edge-degeneracy detection.
+    weighted atoms before any solve.  Every eigenvalue and the aspect ratio
+    must be finite (``ValueError`` otherwise).
     """
 
     eigenvalues: tuple[float, ...]
     aspect_ratio: float
-    regularity_margin: float = 0.05
 
     def __post_init__(self) -> None:
-        vals = tuple(sorted((float(v) for v in self.eigenvalues), reverse=True))
+        raw = [float(v) for v in self.eigenvalues]
+        if not all(math.isfinite(v) for v in raw):
+            raise ValueError("population eigenvalues must be finite")
+        vals = tuple(sorted(raw, reverse=True))
         object.__setattr__(self, "eigenvalues", vals)
         if not vals:
             raise ValueError("population spectrum must contain at least one eigenvalue")
         if vals[-1] < 0.0:
             raise ValueError("population eigenvalues must be nonnegative")
-        if not self.aspect_ratio > 0.0:
-            raise ValueError("aspect ratio must be positive")
-        if not 0.0 < self.regularity_margin < 1.0:
-            raise ValueError("regularity margin must lie in (0, 1)")
+        if not (math.isfinite(self.aspect_ratio) and self.aspect_ratio > 0.0):
+            raise ValueError("aspect ratio must be finite and positive")
 
     @classmethod
-    def identity(cls, n: int, aspect_ratio: float, tau: float = 0.05) -> "PopulationSpectrum":
-        return cls((1.0,) * n, aspect_ratio, tau)
+    def identity(cls, n: int, aspect_ratio: float) -> "PopulationSpectrum":
+        return cls((1.0,) * n, aspect_ratio)
 
     @property
     def n(self) -> int:
@@ -105,14 +110,13 @@ class PopulationSpectrum:
         return self.eigenvalues[0]
 
     def validate(self) -> None:
-        """Enforce the tau-dependent admissibility bounds (raising)."""
-        tau = self.regularity_margin
-        if self.sigma_max > 1.0 / tau:
+        """Enforce the admissibility bounds of margin TAU (raising)."""
+        if self.sigma_max > 1.0 / TAU:
             raise ValueError("largest eigenvalue exceeds 1/tau")
-        frac_small = sum(1 for v in self.eigenvalues if v <= tau) / self.n
-        if frac_small > 1.0 - tau:
+        frac_small = sum(1 for v in self.eigenvalues if v <= TAU) / self.n
+        if frac_small > 1.0 - TAU:
             raise ValueError("spectrum concentrates at zero beyond 1 - tau")
-        if not tau <= self.aspect_ratio <= 1.0 / tau:
+        if not TAU <= self.aspect_ratio <= 1.0 / TAU:
             raise ValueError("aspect ratio outside [tau, 1/tau]")
 
 
@@ -225,10 +229,9 @@ def _newton_grid(
     vals: np.ndarray,
     wts: np.ndarray,
     tol: float,
-    max_steps: int = 60,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Newton on h(m): each point steps until |m h(m)| <= tol, at most
-    ``max_steps`` times, and stops early once it is non-finite.
+    """Newton on h(m): each point steps until |m h(m)| <= tol, at most 60
+    times, and stops early once it is non-finite.
 
     The points still stepping are kept packed (``live`` indexes them), so a
     step costs the same few array operations however many points have left.
@@ -239,7 +242,7 @@ def _newton_grid(
     live = np.nonzero(~(res <= tol))[0]
     ml, zl, hl, hpl = m[live], z[live], h[live], hp[live]
     with np.errstate(all="ignore"):  # a diverging point stops once non-finite
-        for _ in range(max_steps):
+        for _ in range(60):
             if live.size == 0:
                 break
             ml = ml - hl / hpl
@@ -500,10 +503,10 @@ def _zprime(m: np.ndarray, d: float, vals: np.ndarray, wts: np.ndarray) -> np.nd
     return 1.0 / m**2 - d * s2
 
 
-def _interval_samples(lo: float, hi: float, n_side: int = 200) -> np.ndarray:
+def _interval_samples(lo: float, hi: float) -> np.ndarray:
     """Geometric clustering toward both endpoints of a bounded interval."""
     width = hi - lo
-    rel = np.geomspace(1e-9, 0.5, n_side)
+    rel = np.geomspace(1e-9, 0.5, 200)
     fracs = np.unique(np.concatenate([rel, 1.0 - rel]))
     return lo + width * fracs
 
@@ -652,13 +655,12 @@ def support_structure(pop: PopulationSpectrum, N: int) -> SupportStructure:
     exist, any N costs no further solves of the self-consistent equation.
     """
     d = pop.aspect_ratio
-    tau = pop.regularity_margin
-    if abs(d - 1.0) < tau:
+    if abs(d - 1.0) < TAU:
         raise ValueError("whole-support functionality requires |d - 1| >= tau")
     edges = support_edges(pop)
     for a, b in zip(edges[:-1], edges[1:]):
-        if a - b < tau:
-            raise EdgeDegeneracy(f"edges {a} and {b} closer than tau = {tau}")
+        if a - b < TAU:
+            raise EdgeDegeneracy(f"edges {a} and {b} closer than tau = {TAU}")
     bulks = _bulk_quadratures(pop)
     masses = tuple(b.mass for b in bulks)
     counts = tuple(N * m for m in masses)
@@ -776,12 +778,9 @@ class RegularityReport:
         )
 
 
-def regularity_check(
-    pop: PopulationSpectrum, tau: float | None = None, tau_prime: float | None = None
-) -> RegularityReport:
-    """Report-only evaluation of the edge/bulk regularity conditions."""
-    tau = pop.regularity_margin if tau is None else tau
-    tau_prime = tau if tau_prime is None else tau_prime
+def regularity_check(pop: PopulationSpectrum, tau: float = TAU) -> RegularityReport:
+    """Report-only evaluation of the edge/bulk regularity conditions at
+    margin ``tau``; bulk interiors are sampled ``tau`` inside their edges."""
     d = pop.aspect_ratio
     frac_small = sum(1 for v in pop.eigenvalues if v <= tau) / pop.n
 
@@ -805,7 +804,7 @@ def regularity_check(
     bulk_flags = []
     for k in range(len(edges) // 2):
         hi, lo = edges[2 * k], edges[2 * k + 1]
-        a, b = lo + tau_prime, hi - tau_prime
+        a, b = lo + tau, hi - tau
         if a >= b:
             bulk_flags.append(BulkFlags(lo=lo, hi=hi, interior_density_min=0.0))
             continue
@@ -860,10 +859,10 @@ def anisotropic_density(
     return anisotropic_density_from_weights(E, pop, np.asarray(pop.eigenvalues), vt**2)
 
 
-def as_unit_vector(v: Iterable[float], tol: float = 1e-12) -> np.ndarray:
+def as_unit_vector(v: Iterable[float]) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     nrm = float(np.linalg.norm(v))
-    if not abs(nrm - 1.0) <= tol:  # also rejects a NaN norm
+    if not abs(nrm - 1.0) <= 1e-12:  # also rejects a NaN norm
         raise ValueError(f"direction vector must have unit norm (got {nrm!r})")
     return v
 
@@ -903,7 +902,7 @@ def null_mp_m2c_prime(z: complex, d: float) -> complex:
 # population spectrum text format: header "d_N=<real>", one eigenvalue/line
 
 
-def read_spectrum_file(path, tau: float = 0.05) -> PopulationSpectrum:
+def read_spectrum_file(path) -> PopulationSpectrum:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines or not lines[0].startswith("d_N="):
@@ -912,7 +911,7 @@ def read_spectrum_file(path, tau: float = 0.05) -> PopulationSpectrum:
     vals = tuple(float(ln) for ln in lines[1:])
     if not vals:
         raise ValueError(f"{path}: no eigenvalues found")
-    return PopulationSpectrum(vals, d, tau)
+    return PopulationSpectrum(vals, d)
 
 
 def write_spectrum_file(path, pop: PopulationSpectrum) -> None:

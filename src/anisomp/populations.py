@@ -12,8 +12,6 @@ aspect ratio d = n/N every deterministic law depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .mp_law import PopulationSpectrum, _tie_starts
@@ -182,17 +180,8 @@ class PopulationModel:
             return np.sort(self.diagonal)[::-1]
         return self._eig()[0][::-1].copy()
 
-    def spectrum(self, aspect_ratio: float, tau: float = 0.05) -> PopulationSpectrum:
-        return PopulationSpectrum(tuple(self.eigenvalues()), aspect_ratio, tau)
-
-    def trace(self) -> float:
-        if self.kind == "identity":
-            return float(self.n)
-        if self.kind == "diagonal":
-            return float(np.sum(self.diagonal))
-        if self.kind == "spiked":
-            return float(self.n + np.sum(self.spike_strengths))
-        return float(np.trace(self.matrix))
+    def spectrum(self, aspect_ratio: float) -> PopulationSpectrum:
+        return PopulationSpectrum(tuple(self.eigenvalues()), aspect_ratio)
 
     # -- matrix-function actions used by the kernels -------------------------
 
@@ -292,7 +281,6 @@ class Population:
 
     model: PopulationModel
     N: int
-    tau: float = 0.05
 
     def __post_init__(self) -> None:
         if self.N <= 0:
@@ -310,21 +298,16 @@ class Population:
     @property
     def spectrum(self) -> PopulationSpectrum:
         if self._spectrum_cache is None:
-            self._spectrum_cache = self.model.spectrum(self.d, self.tau)
+            self._spectrum_cache = self.model.spectrum(self.d)
         return self._spectrum_cache
 
 
 @dataclass(frozen=True)
 class EntryDistribution:
-    """Law of the sqrt(N)-scaled entries: mean 0, variance 1.
+    """Law of the sqrt(N)-scaled entries: mean 0, variance 1."""
 
-    ``custom`` carries a sampler(rng, shape) -> array; its finite 8th moment
-    and the supplied kappa4 are attested by the caller.
-    """
-
-    kind: str  # "gaussian" | "rademacher" | "custom"
+    kind: str  # "gaussian" | "rademacher"
     kappa4: FourthCumulantProfile
-    sampler: Callable[[np.random.Generator, tuple[int, int]], np.ndarray] | None = None
 
     @classmethod
     def gaussian(cls) -> "EntryDistribution":
@@ -334,15 +317,9 @@ class EntryDistribution:
     def rademacher(cls) -> "EntryDistribution":
         return cls("rademacher", FourthCumulantProfile.rademacher())
 
-    @classmethod
-    def custom(cls, sampler, kappa4: FourthCumulantProfile) -> "EntryDistribution":
-        return cls("custom", kappa4, sampler)
-
     def sample(self, rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
         if self.kind == "gaussian":
             return rng.standard_normal(shape)
         if self.kind == "rademacher":
             return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-        if self.sampler is None:
-            raise ValueError("custom distribution requires a sampler")
-        return np.asarray(self.sampler(rng, shape), dtype=float)
+        raise ValueError(f"unknown entry distribution {self.kind!r}")

@@ -199,7 +199,7 @@ class TestSphericity:
         # between the spike and a bulk direction beats 10 N^{-1/2}
         n, N = 500, 1000
         model = a.PopulationModel.spiked(n, (1.0,))
-        scale = model.trace() / n
+        scale = model.eigenvalues().sum() / n
         tilde = a.PopulationModel.from_diagonal(model.eigenvalues() / scale)
         pop = a.Population(tilde, N)
         lam_plus = a.support_edges(pop.spectrum)[0]

@@ -121,8 +121,9 @@ class TestRunCltCheck:
         assert counts[0] == counts[1] <= 13
 
     def test_budget_guard(self):
+        # 10^9 trials of 60 x 120 exceed the budget before any trial runs
         with pytest.raises(a.BudgetExceeded):
-            run_clt_check(_clt_cfg(budget=10.0))
+            run_clt_check(_clt_cfg(trials=10**9))
 
 
 class TestRunLinearStatCheck:

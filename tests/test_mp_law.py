@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import anisomp as a
@@ -84,12 +84,20 @@ class TestSolve:
         assert out.m.imag >= -1e-13
         assert (z * out.m).imag >= -1e-10 * max(1.0, abs(z * out.m))
 
-    def test_eta_stability(self, null_pop_half):
-        # boundary values stable in the regularization parameter away from edges
+    def test_eta_stability(self, null_pop_half, monkeypatch):
+        # solves just above the axis agree at two small eta
         for E in (0.5, 1.0, 1.5, 2.0, 2.5):
             m1 = a.solve_m2c(complex(E, 1e-9), null_pop_half).m
             m2 = a.solve_m2c(complex(E, 0.5e-9), null_pop_half).m
             assert abs(m1 - m2) <= 1e-8
+        # boundary values (eta = 0) do not depend on the ladder's last rung ETA0,
+        # inside the bulk and off the support
+        energies = (0.5, 1.0, 1.5, 2.0, 2.5, 4.0)
+        default = [a.solve_m2c(complex(E, 0.0), null_pop_half).m for E in energies]
+        monkeypatch.setattr(mp_law, "ETA0", 0.5e-9)
+        for E, m1 in zip(energies, default):
+            m2 = a.solve_m2c(complex(E, 0.0), null_pop_half).m
+            assert abs(m1 - m2) <= 1e-12 * abs(m1)
 
 
 class TestPanelSolve:
@@ -362,7 +370,7 @@ class TestSupport:
             assert bulk_mass + max(1.0 - d, 0.0) == pytest.approx(1.0, abs=1e-8)
 
     def test_whole_support_requires_d_away_from_one(self):
-        pop = a.PopulationSpectrum.identity(4, 0.999, tau := 0.05)
+        pop = a.PopulationSpectrum.identity(4, 0.999)
         with pytest.raises(ValueError):
             a.support_structure(pop, 100)
 
@@ -381,13 +389,13 @@ class TestRegularity:
         assert rep.passed
 
     def test_d_near_one_fails_whole_support(self):
-        pop = a.PopulationSpectrum.identity(4, 0.999, 0.01)
+        pop = a.PopulationSpectrum.identity(4, 0.999)
         rep = a.regularity_check(pop, tau=0.01)
         assert not rep.whole_support_ok
         assert not rep.passed
 
     def test_huge_sigma_fails_bound(self):
-        pop = a.PopulationSpectrum((200.0, 1.0, 1.0), 0.5, 0.01)
+        pop = a.PopulationSpectrum((200.0, 1.0, 1.0), 0.5)
         rep = a.regularity_check(pop, tau=0.01)
         assert not rep.sigma_max_ok
 
@@ -428,10 +436,10 @@ class TestAnisotropicDensity:
 
 class TestSpectrumIO:
     def test_round_trip(self, tmp_path):
-        pop = a.PopulationSpectrum((2.0, 1.0, 0.5), 0.75, 0.02)
+        pop = a.PopulationSpectrum((2.0, 1.0, 0.5), 0.75)
         path = tmp_path / "spec.txt"
         a.write_spectrum_file(path, pop)
-        back = a.read_spectrum_file(path, tau=0.02)
+        back = a.read_spectrum_file(path)
         assert back.eigenvalues == pop.eigenvalues
         assert back.aspect_ratio == pop.aspect_ratio
 
@@ -440,6 +448,33 @@ class TestSpectrumIO:
         path.write_text("1.0\n2.0\n")
         with pytest.raises(ValueError):
             a.read_spectrum_file(path)
+
+    # A header, eigenvalue lines and perhaps one line of any text.  Numbers
+    # are drawn non-negative, non-finite or any float in equal parts, so that
+    # whole files parse often and non-finite values are common.
+    NUMBER = st.floats(min_value=0.0) | st.sampled_from((math.nan, math.inf)) | st.floats()
+
+    @given(
+        d=NUMBER,
+        vals=st.lists(NUMBER, max_size=6),
+        junk=st.lists(st.text(max_size=8), max_size=1),
+    )
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_text_parses_or_raises(self, d, vals, junk, tmp_path):
+        # a file either raises ValueError or gives a finite, admissible spectrum
+        path = tmp_path / "spec.txt"
+        lines = [f"d_N={d!r}", *map(repr, vals), *junk]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            pop = a.read_spectrum_file(path)
+        except ValueError:
+            return
+        eig = np.asarray(pop.eigenvalues)
+        assert np.all(np.isfinite(eig))
+        assert np.all(eig >= 0.0)
+        assert np.all(np.diff(eig) <= 0.0)
+        assert math.isfinite(pop.aspect_ratio)
+        assert pop.aspect_ratio > 0.0
 
 
 class TestPopulationSpectrum:
@@ -452,6 +487,6 @@ class TestPopulationSpectrum:
             a.PopulationSpectrum((-1.0, 1.0), 0.5)
 
     def test_validate_bounds(self):
-        pop = a.PopulationSpectrum((30.0, 1.0), 0.5, 0.05)
+        pop = a.PopulationSpectrum((30.0, 1.0), 0.5)
         with pytest.raises(ValueError):
             pop.validate()
