@@ -53,7 +53,6 @@ from .clt_theory import (
     beta_hat,
     beta_kernel,
     linear_stat_covariance,
-    pv_double_integral,
     resolvent_covariance,
     variance_positivity,
 )

@@ -8,9 +8,10 @@ Two families of kernels are evaluated from boundary values of m(z):
   contractions v1^T Sigma (1+m Sigma)^{-1} (1+m' Sigma)^{-1} v2.
 
 On top of these sit the limiting covariances of the resolvent process and of
-the (global and local) linear eigenvector statistics, the latter requiring a
-principal-value double integral handled by delta-regularization with
-Richardson extrapolation.
+the (global and local) linear eigenvector statistics.  The global one holds
+the double integral of f_i(x1) beta(x1, x2) f_j(x2)/(x1 - x2); beta vanishes
+on the diagonal, so the integrand is bounded and one product Gauss rule over
+the support bulks evaluates it, the diagonal taking its analytic limit.
 """
 
 from __future__ import annotations
@@ -18,15 +19,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .errors import OutsideDomain, PositivityViolation, QuadratureFailure
+from .errors import OutsideDomain, PositivityViolation
 from .mp_law import (
     ETA0,
     OMEGA,
     TAU,
+    _atoms,
+    _defect_grid,
     as_unit_vector,
     m2c_derivative,
     solve_m2c,
@@ -45,7 +46,6 @@ __all__ = [
     "beta_hat",
     "resolvent_covariance",
     "linear_stat_covariance",
-    "pv_double_integral",
     "variance_positivity",
 ]
 
@@ -302,7 +302,7 @@ def variance_positivity(
 
 
 # ---------------------------------------------------------------------------
-# principal-value double integrals
+# quadrature
 
 
 def _gl_panels(lo: float, hi: float, panels: int, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
@@ -315,121 +315,50 @@ def _gl_panels(lo: float, hi: float, panels: int, order: int = 16) -> tuple[np.n
     return x, w
 
 
-def _pv_on_grid(
-    values: np.ndarray,
-    x1: np.ndarray,
-    w1: np.ndarray,
-    x2: np.ndarray,
-    w2: np.ndarray,
-    base_delta: float | None = None,
-) -> tuple[float, float]:
-    """delta-regularized PV of values(x1, x2)/(x1 - x2) with Richardson.
-
-    The regularized kernel Re[1/((x1-x2)+i delta)] is integrated at deltas
-    {h, h/2, h/4}; the extrapolation rate is measured from the triple and
-    clamped to [1/3, 2.5], consistent with the 1/3-rate worst-case bound for
-    Hoelder-1/2 integrands.
-    """
-    diff = x1[:, None] - x2[None, :]
-    if base_delta is None:
-        # deltas must stay above the node spacing: on a fixed grid the
-        # regularized sum converges to the (biased) raw lattice sum, not to
-        # the principal value, once the Lorentzian is unresolved
-        base_delta = 4.0 * float(
-            max(np.max(np.diff(np.sort(x1))), np.max(np.diff(np.sort(x2))))
-        )
-    deltas = [base_delta, base_delta / 2.0, base_delta / 4.0]
-    ints = []
-    wv = w1[:, None] * values * w2[None, :]
-    for dl in deltas:
-        kern = diff / (diff * diff + dl * dl)
-        ints.append(float(np.sum(wv * kern)))
-    i0, i1, i2 = ints
-    floor = 5e-13 * float(np.sum(np.abs(wv))) + 1e-300
-    d01, d12 = i0 - i1, i1 - i2
-    if abs(d12) <= floor:
-        return i2, floor + abs(d12)
-    if abs(d12) > 2.0 * abs(d01) + floor:
-        raise QuadratureFailure(
-            f"PV regularization diverges under delta halving ({d01:.3e} -> {d12:.3e})"
-        )
-    p = math.log2(max(abs(d01) / abs(d12), 1e-12))
-    p = min(max(p, 1.0 / 3.0), 2.5)
-    # Smooth integrands expand in integer powers of delta; snapping the
-    # measured rate makes the two first-level extrapolants disagree by the
-    # genuine next-order term (with only three deltas the measured-rate
-    # extrapolants coincide identically and carry no error signal).
-    snap = round(2.0 * p) / 2.0
-    snapped = snap >= 0.5 and abs(p - snap) < 0.1
-    if snapped:
-        p = snap
-    r = 2.0**p
-    e1 = (r * i1 - i0) / (r - 1.0)
-    e2 = (r * i2 - i1) / (r - 1.0)
-    r2 = 2.0 ** (p + 1.0)
-    val = (r2 * e2 - e1) / (r2 - 1.0)
-    if snapped:
-        err = abs(e2 - e1) + 0.5 * abs(val - e2) + floor
-    else:
-        err = 0.5 * abs(d12) + floor
-    return val, err
-
-
-def pv_double_integral(
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    box: tuple[float, float, float, float],
-    *,
-    n_panels: int = 96,
-    order: int = 8,
-    base_delta: float | None = None,
-) -> tuple[float, float]:
-    """PV integral of g(x1, x2)/(x1 - x2) over [a1, b1] x [a2, b2].
-
-    ``g`` must accept broadcasting arrays.  Returns (value, error estimate);
-    the estimate bounds the change under halving the base delta.
-    """
-    a1, b1, a2, b2 = box
-    x1, w1 = _gl_panels(a1, b1, n_panels, order)
-    x2, w2 = _gl_panels(a2, b2, n_panels + 1, order)  # staggered: avoids x1 == x2
-    values = np.asarray(g(x1[:, None], x2[None, :]), dtype=float)
-    if values.shape != (len(x1), len(x2)):
-        values = np.broadcast_to(values, (len(x1), len(x2)))
-    return _pv_on_grid(values, x1, w1, x2, w2, base_delta)
-
-
 # ---------------------------------------------------------------------------
 # linear-statistic covariances
 
 
+def _bulk_panels(pop: Population, total_points: int) -> list[tuple[float, float, int]]:
+    """The support bulks (lo, hi), ascending, each with its number of 16-node
+    Gauss panels: about ``total_points`` nodes shared in proportion to the
+    bulk widths, and at least 4 panels in every bulk."""
+    edges = support_edges(pop.spectrum)
+    bulks = [(edges[2 * k + 1], edges[2 * k]) for k in range(len(edges) // 2)][::-1]
+    widths = np.array([hi - lo for lo, hi in bulks])
+    alloc = np.maximum((total_points * widths / widths.sum()).astype(int), 64)
+    return [(lo, hi, max(int(pts) // 16, 4)) for (lo, hi), pts in zip(bulks, alloc)]
+
+
 def _support_nodes(
-    pop: Population, total_points: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature nodes/weights over the support bulks plus m on the nodes.
+    pop: Population, bulks: list[tuple[float, float, int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrature nodes/weights over the support bulks plus m and m' on the
+    nodes.
 
     Each bulk is mapped through x = mid + half*sin(t), which absorbs the
     square-root edge factors; the integrands of the covariance formulas all
     vanish identically off the support, so no exterior panels are needed.
     Every bulk holds whole 16-node Gauss panels and the nodes ascend, so the
-    rows that ``solve_m2c_grid`` marches are exactly these panels.
+    rows that ``solve_m2c_grid`` marches are exactly these panels.  One
+    Newton step at eta = 0 moves m from x + i*ETA0 to the boundary value,
+    which removes a bias of order ETA0 from the covariances; m' = -1/h'(m)
+    comes from the solver's defect derivative.
     """
-    edges = support_edges(pop.spectrum)
-    bulks = [(edges[2 * k + 1], edges[2 * k]) for k in range(len(edges) // 2)]
-    bulks = bulks[::-1]  # ascending
-    widths = np.array([hi - lo for lo, hi in bulks])
-    alloc = np.maximum((total_points * widths / widths.sum()).astype(int), 64)
     xs, ws = [], []
-    for (lo, hi), pts in zip(bulks, alloc):
-        panels = max(pts // 16, 4)
+    for lo, hi, panels in bulks:
         t, wt = _gl_panels(-math.pi / 2, math.pi / 2, panels, 16)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         xs.append(mid + half * np.sin(t))
         ws.append(wt * half * np.cos(t))
     x = np.concatenate(xs)
-    w = np.concatenate(ws)
-    order = np.argsort(x)
-    x, w = x[order], w[order]
+    vals, wts = _atoms(pop.spectrum)
+    d = pop.spectrum.aspect_ratio
     m = solve_m2c_grid(x, ETA0, pop.spectrum)
-    return x, w, m
+    h, hp = _defect_grid(m, x + 0j, d, vals, wts)
+    m = m - h / hp
+    mp = -1.0 / _defect_grid(m, x + 0j, d, vals, wts)[1]
+    return x, np.concatenate(ws), m, mp
 
 
 def _contraction_grid(
@@ -466,9 +395,13 @@ def linear_stat_covariance(
     """Limiting covariance of linear eigenvector statistics.
 
     ``global`` evaluates the three-term formula (fourth-cumulant double
-    integral, PV double integral of the beta kernel, and the diagonal density
-    term); ``local`` evaluates the single-scale product formula at E, which
-    is eta-free.
+    integral, double integral of beta(x1, x2)/(x1 - x2), and the diagonal
+    density term) by a product Gauss rule on about ``grid_points`` nodes over
+    the support bulks.  The integrand of the beta term is bounded, because
+    beta vanishes on the diagonal, so no principal value is needed.  The
+    error estimate is the change of the value when every bulk has half its
+    panels, plus 1e-9 of the value.  ``local`` evaluates the single-scale
+    product formula at E, which is eta-free.
     """
     v_i, v_j = as_unit_vector(v_i), as_unit_vector(v_j)
     if mode == "local":
@@ -486,7 +419,25 @@ def linear_stat_covariance(
     if mode != "global":
         raise ValueError(f"unknown mode {mode!r}")
 
-    x, w, m = _support_nodes(pop, grid_points)
+    bulks = _bulk_panels(pop, grid_points)
+    value = _global_covariance(f_i, f_j, v_i, v_j, pop, kappa, bulks)
+    halved = [(lo, hi, panels // 2) for lo, hi, panels in bulks]
+    coarse = _global_covariance(f_i, f_j, v_i, v_j, pop, kappa, halved)
+    return CovarianceValue("global", value, abs(value - coarse) + 1e-9 * abs(value))
+
+
+def _global_covariance(
+    f_i: TestFunction,
+    f_j: TestFunction,
+    v_i: np.ndarray,
+    v_j: np.ndarray,
+    pop: Population,
+    kappa: FourthCumulantProfile,
+    bulks: list[tuple[float, float, int]],
+) -> float:
+    """The three terms of the global covariance by one product rule on the
+    nodes of ``bulks`` (see ``_support_nodes``)."""
+    x, w, m, mp = _support_nodes(pop, bulks)
     fi_x, fj_x = f_i(x), f_j(x)
 
     # fourth-cumulant term: separable over original coordinates
@@ -499,23 +450,45 @@ def linear_stat_covariance(
         aj = rows_j.T @ (w * fj_x)
         term1 = float(np.sum(s * ai * aj)) / math.pi**2
 
-    # PV term of the beta kernel
+    # beta term: beta(x_a, x_b)/(x_a - x_b) is bounded (see ``_beta_grid``)
+    kern, c0 = _beta_grid(pop, v_i, v_j, x, m, mp)
+    term2 = float((w * fi_x / x) @ kern @ (w * fj_x / x)) / math.pi**2
+
+    # diagonal density term: C(m_a, conj m_a) is the diagonal of c_mixed
+    rho = np.maximum(m.imag, 0.0) / math.pi
+    term3 = 2.0 * float(np.sum(w * fi_x * fj_x * rho / x**2 * np.real(c0**2)))
+
+    return term1 + term2 + term3
+
+
+def _beta_grid(
+    pop: Population,
+    v_i: np.ndarray,
+    v_j: np.ndarray,
+    x: np.ndarray,
+    m: np.ndarray,
+    mp: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """x_a x_b beta(x_a, x_b)/(x_a - x_b) on the nodes x (m and m' given
+    there), and C0 = C(m_a, conj m_a).
+
+    beta(x, x) = 0 because C0 is real, so the quotient is bounded and its
+    diagonal is the limit x_b -> x_a:
+    -Re[-conj(m') C0^2 + 4i Im m C0 dC conj(m') + m' Cp^2], with Cp = C(m, m)
+    and dC the derivative of C(m, mb) in mb at mb = conj m.
+    """
     c_mixed = _contraction_grid(pop, v_i, v_j, m, np.conj(m))
     c_plain = _contraction_grid(pop, v_i, v_j, m, m)
-    mdiff_mixed = m[:, None] - np.conj(m)[None, :]
-    mdiff_plain = m[:, None] - m[None, :]
-    inv_xx = 1.0 / np.multiply.outer(x, x)
-    beta_grid = np.real(mdiff_mixed * inv_xx * c_mixed**2) - np.real(
-        mdiff_plain * inv_xx * c_plain**2
-    )
-    values = fi_x[:, None] * beta_grid * fj_x[None, :]
-    pv_val, pv_err = _pv_on_grid(values, x, w, x, w, base_delta=None)
-    term2 = pv_val / math.pi**2
-
-    # diagonal density term: C(m_i, conj m_i) is the diagonal of c_mixed
-    c_diag = np.diagonal(c_mixed)
-    rho = np.maximum(m.imag, 0.0) / math.pi
-    term3 = 2.0 * float(np.sum(w * fi_x * fj_x * rho / x**2 * np.real(c_diag**2)))
-
-    value = term1 + term2 + term3
-    return CovarianceValue("global", value, pv_err / math.pi**2 + 1e-9 * abs(value))
+    c0, cp = np.diagonal(c_mixed), np.diagonal(c_plain)
+    gap = np.subtract.outer(x, x)
+    np.fill_diagonal(gap, 1.0)
+    kern = np.real(np.subtract.outer(m, np.conj(m)) * c_mixed**2)
+    kern -= np.real(np.subtract.outer(m, m) * c_plain**2)
+    kern /= gap
+    sig, wts = pop.model.pair_weights(v_i, v_j)
+    left = 1.0 + np.multiply.outer(m, sig)
+    right = 1.0 + np.multiply.outer(np.conj(m), sig)
+    dc = -np.sum(wts * sig**2 / (left * right**2), axis=1)
+    mpc = np.conj(mp)
+    np.fill_diagonal(kern, -np.real(-mpc * c0**2 + 4j * m.imag * c0 * dc * mpc + mp * cp**2))
+    return kern, c0

@@ -22,7 +22,8 @@ class EdgeDegeneracy(AnisompError):
 
 
 class QuadratureFailure(AnisompError):
-    """Quadrature or principal-value extrapolation did not converge."""
+    """A quadrature evaluated to a non-finite value (the centering integral
+    of ``matrix_models``)."""
 
 
 class PositivityViolation(AnisompError):

@@ -228,10 +228,9 @@ def _newton_grid(
     d: float,
     vals: np.ndarray,
     wts: np.ndarray,
-    tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Newton on h(m): each point steps until |m h(m)| <= tol, at most 60
-    times, and stops early once it is non-finite.
+    """Newton on h(m): each point steps until |m h(m)| <= RESIDUAL_TOL, at
+    most 60 times, and stops early once it is non-finite.
 
     The points still stepping are kept packed (``live`` indexes them), so a
     step costs the same few array operations however many points have left.
@@ -239,7 +238,7 @@ def _newton_grid(
     m = m.copy()
     h, hp = _defect_grid(m, z, d, vals, wts)
     res = np.abs(m * h)
-    live = np.nonzero(~(res <= tol))[0]
+    live = np.nonzero(~(res <= RESIDUAL_TOL))[0]
     ml, zl, hl, hpl = m[live], z[live], h[live], hp[live]
     with np.errstate(all="ignore"):  # a diverging point stops once non-finite
         for _ in range(60):
@@ -249,20 +248,20 @@ def _newton_grid(
             hl, hpl = _defect_grid(ml, zl, d, vals, wts)
             rl = np.abs(ml * hl)
             m[live], res[live] = ml, rl
-            keep = ~(rl <= tol) & np.isfinite(rl)
+            keep = ~(rl <= RESIDUAL_TOL) & np.isfinite(rl)
             if not keep.all():
                 live, ml, zl, hl, hpl = live[keep], ml[keep], zl[keep], hl[keep], hpl[keep]
     return m, res
 
 
-def _off_branch(m: np.ndarray, res: np.ndarray, tol: float) -> np.ndarray:
+def _off_branch(m: np.ndarray, res: np.ndarray) -> np.ndarray:
     """Points that miss the residual tolerance or sit below the real axis.
 
     The sign test is relative to |m| when |m| < 1: for a spectrum of scale
     sigma, m is of order 1/sigma, and the wrong roots of Sigma = 200 I sit at
     Im m between -1e-12 and -4e-13, which an absolute -1e-12 test accepts.
     """
-    return ~(res <= tol) | (m.imag < -1e-12 * np.minimum(1.0, np.abs(m)))
+    return ~(res <= RESIDUAL_TOL) | (m.imag < -1e-12 * np.minimum(1.0, np.abs(m)))
 
 
 def _descend(
@@ -291,13 +290,13 @@ def _descend(
         moving = ~(np.abs(step) <= NEWTON_SWITCH * np.maximum(1.0, np.abs(ml)))
         m[live[moving]] = ml[moving] + DAMPING * step[moving]
         live = live[moving & np.isfinite(step)]
-    m, res = _newton_grid(m, z, d, vals, wts, RESIDUAL_TOL)
+    m, res = _newton_grid(m, z, d, vals, wts)
     failed = ~(res <= RESIDUAL_TOL)
     for rung in rungs[1:]:
         z = E + 1j * rung
-        m, res = _newton_grid(m, z, d, vals, wts, RESIDUAL_TOL)
+        m, res = _newton_grid(m, z, d, vals, wts)
         failed |= ~(res <= RESIDUAL_TOL)
-    return m, failed | _off_branch(m, res, RESIDUAL_TOL)
+    return m, failed | _off_branch(m, res)
 
 
 def _solve_ladder_grid(energies: np.ndarray, eta: float, pop: PopulationSpectrum) -> np.ndarray:
@@ -356,7 +355,7 @@ def _solve_boundary(energies: np.ndarray, pop: PopulationSpectrum) -> tuple[np.n
     m = _solve_ladder_grid(E, ETA0, pop)
     m = np.where(support_distance(E, pop) > 0.0, m.real + 0j, m)
     z = E + 0j
-    m, _ = _newton_grid(m, z, d, vals, wts, RESIDUAL_TOL)
+    m, _ = _newton_grid(m, z, d, vals, wts)
     with np.errstate(all="ignore"):  # an edge point fails the residual check below
         h, hp = _defect_grid(m, z, d, vals, wts)
         m = m - h / hp
@@ -461,8 +460,8 @@ def _solve_panels(energies: np.ndarray, eta: float, pop: PopulationSpectrum) -> 
     m[:, 0] = _solve_ladder_grid(E[:, 0], eta, pop)
     for j in range(1, E.shape[1]):
         z = E[:, j] + 1j * eta
-        m[:, j], res = _newton_grid(m[:, j - 1], z, d, vals, wts, RESIDUAL_TOL)
-        bad = _off_branch(m[:, j], res, RESIDUAL_TOL)
+        m[:, j], res = _newton_grid(m[:, j - 1], z, d, vals, wts)
+        bad = _off_branch(m[:, j], res)
         if bad.any():
             m[bad, j] = _solve_ladder_grid(E[bad, j], eta, pop)
     h, hp = _defect_grid(m, E + 1j * eta, d, vals, wts)
@@ -780,7 +779,10 @@ class RegularityReport:
 
 def regularity_check(pop: PopulationSpectrum, tau: float = TAU) -> RegularityReport:
     """Report-only evaluation of the edge/bulk regularity conditions at
-    margin ``tau``; bulk interiors are sampled ``tau`` inside their edges."""
+    margin ``tau``; bulk interiors are sampled ``tau`` inside their edges.
+    A tau outside (0, 1), NaN included, raises ValueError."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"regularity margin tau must lie in (0, 1), got {tau!r}")
     d = pop.aspect_ratio
     frac_small = sum(1 for v in pop.eigenvalues if v <= tau) / pop.n
 

@@ -40,4 +40,4 @@ def _option_count() -> int:
 
 def test_option_count():
     # a change that adds or removes an option updates this number in its diff
-    assert _option_count() == 71
+    assert _option_count() == 67

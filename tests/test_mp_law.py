@@ -387,6 +387,9 @@ class TestRegularity:
     def test_null_all_pass(self, null_pop_half):
         rep = a.regularity_check(null_pop_half, tau=0.01)
         assert rep.passed
+        for tau in (0.0, math.nan, -0.1, 1.5):  # a margin outside (0, 1) is no margin
+            with pytest.raises(ValueError):
+                a.regularity_check(a.PopulationSpectrum.identity(4, 0.5), tau=tau)
 
     def test_d_near_one_fails_whole_support(self):
         pop = a.PopulationSpectrum.identity(4, 0.999)
