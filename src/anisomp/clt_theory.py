@@ -16,9 +16,10 @@ the support bulks evaluates it, the diagonal taking its analytic limit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import OutsideDomain, PositivityViolation
@@ -26,8 +27,10 @@ from .mp_law import (
     ETA0,
     OMEGA,
     TAU,
+    PopulationSpectrum,
     _atoms,
     _defect_grid,
+    _gl,
     as_unit_vector,
     m2c_derivative,
     solve_m2c,
@@ -91,23 +94,6 @@ class TestFunction:
         out = np.polyval(self.poly_coeffs[::-1], u) * np.exp(-(u**2))
         return np.where(x > 0.0, out, 0.0)
 
-    def derivative(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        u = (x - self.center) / self.width
-        if self.kind == "bump":
-            out = np.zeros_like(u)
-            inside = np.abs(u) < 1.0
-            ui = u[inside]
-            f = np.exp(1.0 - 1.0 / (1.0 - ui**2))
-            out[inside] = f * (-2.0 * ui / (1.0 - ui**2) ** 2) / self.width
-            return out
-        p = np.asarray(self.poly_coeffs)
-        dp = p[1:] * np.arange(1, len(p))
-        val = (np.polyval(dp[::-1], u) if len(dp) else 0.0) - 2.0 * u * np.polyval(
-            p[::-1], u
-        )
-        return np.where(x > 0.0, val * np.exp(-(u**2)) / self.width, 0.0)
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -115,18 +101,6 @@ class TestFunction:
             "width": self.width,
             "poly_coeffs": list(self.poly_coeffs),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TestFunction":
-        return cls(
-            kind=data.get("kind", "bump"),
-            center=float(data["center"]),
-            width=float(data["width"]),
-            poly_coeffs=tuple(data.get("poly_coeffs", (1.0,))),
-        )
 
 
 @dataclass(frozen=True)
@@ -306,7 +280,7 @@ def variance_positivity(
 
 
 def _gl_panels(lo: float, hi: float, panels: int, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gl(order)
     bounds = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (bounds[:-1] + bounds[1:])
     half = 0.5 * (bounds[1:] - bounds[:-1])
@@ -319,7 +293,7 @@ def _gl_panels(lo: float, hi: float, panels: int, order: int = 16) -> tuple[np.n
 # linear-statistic covariances
 
 
-def _bulk_panels(pop: Population, total_points: int) -> list[tuple[float, float, int]]:
+def _bulk_panels(pop: Population, total_points: int) -> tuple[tuple[float, float, int], ...]:
     """The support bulks (lo, hi), ascending, each with its number of 16-node
     Gauss panels: about ``total_points`` nodes shared in proportion to the
     bulk widths, and at least 4 panels in every bulk."""
@@ -327,14 +301,15 @@ def _bulk_panels(pop: Population, total_points: int) -> list[tuple[float, float,
     bulks = [(edges[2 * k + 1], edges[2 * k]) for k in range(len(edges) // 2)][::-1]
     widths = np.array([hi - lo for lo, hi in bulks])
     alloc = np.maximum((total_points * widths / widths.sum()).astype(int), 64)
-    return [(lo, hi, max(int(pts) // 16, 4)) for (lo, hi), pts in zip(bulks, alloc)]
+    return tuple((lo, hi, max(int(pts) // 16, 4)) for (lo, hi), pts in zip(bulks, alloc))
 
 
+@lru_cache(maxsize=64)
 def _support_nodes(
-    pop: Population, bulks: list[tuple[float, float, int]]
+    spectrum: PopulationSpectrum, bulks: tuple[tuple[float, float, int], ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Quadrature nodes/weights over the support bulks plus m and m' on the
-    nodes.
+    nodes, as read-only arrays.
 
     Each bulk is mapped through x = mid + half*sin(t), which absorbs the
     square-root edge factors; the integrands of the covariance formulas all
@@ -343,7 +318,8 @@ def _support_nodes(
     rows that ``solve_m2c_grid`` marches are exactly these panels.  One
     Newton step at eta = 0 moves m from x + i*ETA0 to the boundary value,
     which removes a bias of order ETA0 from the covariances; m' = -1/h'(m)
-    comes from the solver's defect derivative.
+    comes from the solver's defect derivative.  Cached: a family of
+    covariances on one spectrum solves once.
     """
     xs, ws = [], []
     for lo, hi, panels in bulks:
@@ -352,31 +328,27 @@ def _support_nodes(
         xs.append(mid + half * np.sin(t))
         ws.append(wt * half * np.cos(t))
     x = np.concatenate(xs)
-    vals, wts = _atoms(pop.spectrum)
-    d = pop.spectrum.aspect_ratio
-    m = solve_m2c_grid(x, ETA0, pop.spectrum)
+    vals, wts = _atoms(spectrum)
+    d = spectrum.aspect_ratio
+    m = solve_m2c_grid(x, ETA0, spectrum)
     h, hp = _defect_grid(m, x + 0j, d, vals, wts)
     m = m - h / hp
     mp = -1.0 / _defect_grid(m, x + 0j, d, vals, wts)[1]
-    return x, np.concatenate(ws), m, mp
+    out = (x, np.concatenate(ws), m, mp)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
-def _contraction_grid(
-    pop: Population,
-    v1: np.ndarray,
-    v2: np.ndarray,
-    ma: np.ndarray,
-    mb: np.ndarray,
-) -> np.ndarray:
-    """C(ma_i, mb_j) = v1^T Sigma (1+ma_i Sigma)^{-1} (1+mb_j Sigma)^{-1} v2.
-
-    A sum over the distinct eigenvalues sigma_k, so the whole grid is one
-    product of (len(ma), k) and (k, len(mb)) factors.
-    """
-    sig, wts = pop.model.pair_weights(v1, v2)
-    left = (wts * sig) / (1.0 + np.multiply.outer(ma, sig))
-    right = 1.0 / (1.0 + np.multiply.outer(mb, sig))
-    return left @ right.T
+def _contraction_factors(
+    sig: np.ndarray, wts: np.ndarray, m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """C(ma, mb) = v1^T Sigma (1+ma Sigma)^{-1} (1+mb Sigma)^{-1} v2 is a sum
+    over the atoms (sigma, w) = ``pair_weights(v1, v2)``: left[a] @ right[b]
+    with left = w sigma/(1+m sigma) and right = 1/(1+m sigma) at the points m,
+    and C(ma, conj mb) = left[a] @ conj(right[b]) because sigma is real."""
+    denom = 1.0 + np.multiply.outer(m, sig)
+    return (wts * sig) / denom, 1.0 / denom
 
 
 def linear_stat_covariance(
@@ -421,7 +393,7 @@ def linear_stat_covariance(
 
     bulks = _bulk_panels(pop, grid_points)
     value = _global_covariance(f_i, f_j, v_i, v_j, pop, kappa, bulks)
-    halved = [(lo, hi, panels // 2) for lo, hi, panels in bulks]
+    halved = tuple((lo, hi, panels // 2) for lo, hi, panels in bulks)
     coarse = _global_covariance(f_i, f_j, v_i, v_j, pop, kappa, halved)
     return CovarianceValue("global", value, abs(value - coarse) + 1e-9 * abs(value))
 
@@ -433,11 +405,11 @@ def _global_covariance(
     v_j: np.ndarray,
     pop: Population,
     kappa: FourthCumulantProfile,
-    bulks: list[tuple[float, float, int]],
+    bulks: tuple[tuple[float, float, int], ...],
 ) -> float:
     """The three terms of the global covariance by one product rule on the
     nodes of ``bulks`` (see ``_support_nodes``)."""
-    x, w, m, mp = _support_nodes(pop, bulks)
+    x, w, m, mp = _support_nodes(pop.spectrum, bulks)
     fi_x, fj_x = f_i(x), f_j(x)
 
     # fourth-cumulant term: separable over original coordinates
@@ -450,45 +422,71 @@ def _global_covariance(
         aj = rows_j.T @ (w * fj_x)
         term1 = float(np.sum(s * ai * aj)) / math.pi**2
 
-    # beta term: beta(x_a, x_b)/(x_a - x_b) is bounded (see ``_beta_grid``)
-    kern, c0 = _beta_grid(pop, v_i, v_j, x, m, mp)
-    term2 = float((w * fi_x / x) @ kern @ (w * fj_x / x)) / math.pi**2
+    # beta term: beta(x_a, x_b)/(x_a - x_b) is bounded (see ``_beta_contraction``)
+    beta, c0 = _beta_contraction(pop, v_i, v_j, x, m, mp, w * fi_x / x, w * fj_x / x)
+    term2 = beta / math.pi**2
 
-    # diagonal density term: C(m_a, conj m_a) is the diagonal of c_mixed
+    # diagonal density term: C0 = C(m_a, conj m_a)
     rho = np.maximum(m.imag, 0.0) / math.pi
     term3 = 2.0 * float(np.sum(w * fi_x * fj_x * rho / x**2 * np.real(c0**2)))
 
     return term1 + term2 + term3
 
 
-def _beta_grid(
-    pop: Population,
-    v_i: np.ndarray,
-    v_j: np.ndarray,
-    x: np.ndarray,
-    m: np.ndarray,
-    mp: np.ndarray,
+BLOCK = 64  # rows of the beta kernel held at once
+
+
+def _beta_contraction(
+    pop: Population, v_i: np.ndarray, v_j: np.ndarray, x: np.ndarray, m: np.ndarray,
+    mp: np.ndarray, p: np.ndarray, q: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """p^T K q for K[a, b] = x_a x_b beta(x_a, x_b)/(x_a - x_b) on the nodes x
+    (m and m' given there), and C0 = C(m_a, conj m_a).
+
+    Off the diagonal K = Re[(m_a - conj m_b) Cm^2 - (m_a - m_b) Cp^2]/(x_a - x_b)
+    with Cm = C(m_a, conj m_b) and Cp = C(m_a, m_b).  K is never formed: BLOCK
+    rows at a time, Cm^2 and Cp^2 are scaled by 1/(x_a - x_b), taken 0 on the
+    diagonal, and applied to q, conj(m) q and m q, so memory is O(BLOCK * nodes).
+    The diagonal is the limit ``_beta_diagonal``.
+    """
+    sig, wts = pop.model.pair_weights(v_i, v_j)
+    left, right = _contraction_factors(sig, wts, m)
+    right_c = np.conj(right)
+    rhs_mixed, rhs_plain = np.stack([q, np.conj(m) * q], 1), np.stack([q, m * q], 1)
+    total = 0.0
+    for start in range(0, len(x), BLOCK):
+        rows = slice(start, start + BLOCK)
+        recip = np.subtract.outer(x[rows], x)
+        np.fill_diagonal(recip[:, start:], 1.0)
+        np.reciprocal(recip, out=recip)
+        np.fill_diagonal(recip[:, start:], 0.0)
+        cm = left[rows] @ right_c.T
+        cm *= cm
+        cm *= recip
+        cp = left[rows] @ right.T
+        cp *= cp
+        cp *= recip
+        pm, pp = cm @ rhs_mixed, cp @ rhs_plain
+        acc = m[rows] * (pm[:, 0] - pp[:, 0]) - pm[:, 1] + pp[:, 1]
+        total += float(p[rows] @ acc.real)
+    diag, c0 = _beta_diagonal(sig, wts, m, mp)
+    return total + float(np.sum(p * diag * q)), c0
+
+
+def _beta_diagonal(
+    sig: np.ndarray, wts: np.ndarray, m: np.ndarray, mp: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """x_a x_b beta(x_a, x_b)/(x_a - x_b) on the nodes x (m and m' given
-    there), and C0 = C(m_a, conj m_a).
+    """The diagonal K[a, a] of ``_beta_contraction``'s kernel, and C0.
 
     beta(x, x) = 0 because C0 is real, so the quotient is bounded and its
     diagonal is the limit x_b -> x_a:
     -Re[-conj(m') C0^2 + 4i Im m C0 dC conj(m') + m' Cp^2], with Cp = C(m, m)
     and dC the derivative of C(m, mb) in mb at mb = conj m.
     """
-    c_mixed = _contraction_grid(pop, v_i, v_j, m, np.conj(m))
-    c_plain = _contraction_grid(pop, v_i, v_j, m, m)
-    c0, cp = np.diagonal(c_mixed), np.diagonal(c_plain)
-    gap = np.subtract.outer(x, x)
-    np.fill_diagonal(gap, 1.0)
-    kern = np.real(np.subtract.outer(m, np.conj(m)) * c_mixed**2)
-    kern -= np.real(np.subtract.outer(m, m) * c_plain**2)
-    kern /= gap
-    sig, wts = pop.model.pair_weights(v_i, v_j)
-    left = 1.0 + np.multiply.outer(m, sig)
-    right = 1.0 + np.multiply.outer(np.conj(m), sig)
-    dc = -np.sum(wts * sig**2 / (left * right**2), axis=1)
+    lo = 1.0 + np.multiply.outer(m, sig)
+    hi = 1.0 + np.multiply.outer(np.conj(m), sig)
+    c0 = np.sum(wts * sig / (lo * hi), axis=1)
+    cp = np.sum(wts * sig / lo**2, axis=1)
+    dc = -np.sum(wts * sig**2 / (lo * hi**2), axis=1)
     mpc = np.conj(mp)
-    np.fill_diagonal(kern, -np.real(-mpc * c0**2 + 4j * m.imag * c0 * dc * mpc + mp * cp**2))
-    return kern, c0
+    return -np.real(-mpc * c0**2 + 4j * m.imag * c0 * dc * mpc + mp * cp**2), c0

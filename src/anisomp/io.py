@@ -2,11 +2,12 @@
 
 Binary layout (little endian): 8-byte magic ``ANISOMP1``, uint64 n, uint64 N,
 then n*N float64 values in row-major order.  Anything without the magic is
-parsed as CSV.
+parsed as CSV.  A header that disagrees with the file size raises ValueError.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -40,9 +41,10 @@ def read_matrix(path) -> np.ndarray:
             if len(dims) != 16:
                 raise ValueError(f"{path}: truncated binary header")
             n, N = struct.unpack("<QQ", dims)
-            payload = np.frombuffer(fh.read(8 * n * N), dtype="<f8", count=n * N)
-            if payload.size != n * N:
-                raise ValueError(f"{path}: truncated binary matrix")
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if 8 * n * N != left:
+                raise ValueError(f"{path}: header claims {n} x {N} values, {left} bytes follow")
+            payload = np.frombuffer(fh.read(left), dtype="<f8")
             return payload.reshape(n, N).copy()
     data = np.loadtxt(path, delimiter=",", dtype=float)
     if data.ndim == 1:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -314,6 +315,19 @@ class TestSphericity:
         assert len(err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize("dims", [(2**20, 2**20), (2**63, 2**63)])
+    def test_oversized_header_exit_two(self, dims, tmp_path, capsys):
+        from anisomp.io import MAGIC
+
+        path = tmp_path / "huge.bin"
+        path.write_bytes(MAGIC + struct.pack("<QQ", *dims))  # 24 bytes, no data
+        code, out, err = run_cli(["sphericity", "--data", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+
 class TestMatrixIO:
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -327,6 +341,30 @@ class TestMatrixIO:
         path = tmp_path / "m.csv"
         write_matrix(path, m, fmt="csv")
         assert np.allclose(read_matrix(path), m)
+
+    @given(
+        body=st.one_of(
+            st.binary(max_size=96),
+            st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+                lambda d: st.binary(min_size=8 * d[0] * d[1], max_size=8 * d[0] * d[1]).map(
+                    lambda data: struct.pack("<QQ", *d) + data
+                )
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_binary_body_is_rejected_or_round_trips(self, body, tmp_path):
+        from anisomp.io import MAGIC
+
+        path = tmp_path / "fuzz.bin"
+        path.write_bytes(MAGIC + body)
+        try:
+            data = read_matrix(path)
+        except ValueError:
+            return
+        again = tmp_path / "again.bin"
+        write_matrix(again, data)
+        assert again.read_bytes() == MAGIC + body
 
 
 class TestReproduce:
