@@ -204,9 +204,17 @@ def cmd_clt_kernel(args) -> int:
         return _fail(f"solver failure: {exc}", EXIT_SOLVER)
 
 
+def _read_data(path) -> np.ndarray:
+    """The --data matrix; one with no rows or no columns is a parse error."""
+    data = read_matrix(path)
+    if data.size == 0:
+        raise ValueError(f"{path}: empty data matrix ({data.shape[0]} x {data.shape[1]})")
+    return data
+
+
 def cmd_estimate(args) -> int:
     try:
-        data = read_matrix(args.data)
+        data = _read_data(args.data)
         n, N = data.shape
         v = _unit_vector(args.vector, n)
     except (OSError, ValueError) as exc:
@@ -234,7 +242,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_sphericity(args) -> int:
     try:
-        data = read_matrix(args.data)
+        data = _read_data(args.data)
         n, _ = data.shape
         u = _unit_vector(args.u, n)
         v = _unit_vector(args.v, n)

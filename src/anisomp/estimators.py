@@ -19,6 +19,9 @@ from scipy.special import ndtr, ndtri
 from .errors import DegenerateData, OutsideDomain, ResolventDegenerate
 from .matrix_models import (
     SampleEnsemble,
+    _factor_above,
+    _lower_solve,
+    _row_kappa4,
     kappa4_hat,
     m2c_hat,
     m2c_hat_prime,
@@ -218,7 +221,9 @@ def sphericity_test(
     No eigenvectors are computed: lambda_1 and the plug-in estimates come
     from the eigenvalues of Q1 alone, and R_uu(E), R_vv(E) from one Cholesky
     factorisation of E - Q1, which exists because E lies above the spectrum,
-    and one triangular solve against [u, v].
+    and one triangular solve against [u, v].  The rescaled matrix
+    W = A / sigma is formed only for ``split_samples``: Q1 = A A^T / sigma^2
+    is scaled in place and the row cumulants come from A * A over sigma^4.
     ``E_margin`` must be finite and > 0 (``ValueError`` otherwise); a
     factorisation that fails anyway raises ``DegenerateData``.
     """
@@ -233,14 +238,15 @@ def sphericity_test(
     if not (math.isfinite(E_margin) and E_margin > 0.0):
         raise ValueError(f"E_margin must be finite and > 0, got {E_margin}")
 
-    sigma_sq = float(np.sum(A**2) / n)
+    flat = A.ravel()
+    sigma_sq = float(flat @ flat) / n
     if not math.isfinite(sigma_sq):
         raise DegenerateData("data matrix has a non-finite scale")
     if sigma_sq <= 0.0:
         raise DegenerateData("data matrix has zero scale")
-    W = A / math.sqrt(sigma_sq)
 
-    Q1 = W @ W.T
+    Q1 = A @ A.T
+    Q1 /= sigma_sq
     lam = _descending_spectrum(Q1)
     nz = min(n, N)
     lam_q2 = np.concatenate([lam[:nz], np.zeros(max(N - nz, 0))])
@@ -251,12 +257,11 @@ def sphericity_test(
     m_prime_hat = float(np.mean(1.0 / (lam_q2 - E) ** 2))
 
     if split_samples:
+        W = A / math.sqrt(sigma_sq)
         gamma_sq = _split_sample_gamma_sq(W, u, v, E, split_samples)
         kappa_max = math.nan
     else:
-        W2 = W * W
-        kappa_rows = N * np.sum(W2 * W2, axis=1) - 3.0
-        kappa_max = float(np.max(kappa_rows))
+        kappa_max = float(np.max(_row_kappa4(A, sigma_sq)))
         bracket = max(kappa_max, 0.0) + 2.0 * m_prime_hat / m_hat**2
         gamma_sq = m_hat**2 / (E**2 * abs(1.0 + m_hat) ** 4) * bracket
 
@@ -290,35 +295,16 @@ def _descending_spectrum(Q1: np.ndarray) -> np.ndarray:
 def _resolvent_gap_above(Q1: np.ndarray, u: np.ndarray, v: np.ndarray, E: float) -> float:
     """R_uu(E) - R_vv(E), with R = (Q1 - E)^{-1}, for real E above the spectrum.
 
-    With E - Q1 = L L^T, -R_uu(E) = |L^{-1} u|^2.  The Cholesky factorisation
-    exists only when E lies numerically above the spectrum, so it is also
-    that check.  Everything stays in NumPy's LAPACK: SciPy links its own
-    OpenBLAS, and alternating calls between the two leave two BLAS thread
-    pools competing for the cores whenever more than one thread is allowed.
-    Q1 is overwritten.
+    With E - Q1 = L L^T (``matrix_models._factor_above``), -R_uu(E) =
+    |L^{-1} u|^2.  A failed factorisation, E not above the spectrum, raises
+    ``DegenerateData``.  Q1 is overwritten.
     """
-    Q1 *= -1.0
-    Q1.flat[:: Q1.shape[0] + 1] += E
     try:
-        L = np.linalg.cholesky(Q1)
+        L = _factor_above(Q1, E)
     except np.linalg.LinAlgError as exc:
         raise DegenerateData(f"E - Q1 is not positive definite at E = {E}: {exc}") from exc
     y = _lower_solve(L, np.column_stack([u, v]))
     return float(y[:, 1] @ y[:, 1]) - float(y[:, 0] @ y[:, 0])
-
-
-def _lower_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """L^{-1} B for lower-triangular L, by block forward substitution.
-
-    NumPy has no triangular solver; each 64-row diagonal block goes through
-    ``np.linalg.solve`` and the rest of the work is matrix products.
-    """
-    Y = np.array(B, dtype=float)
-    for s in range(0, len(L), 64):
-        e = s + 64
-        Y[s:e] = np.linalg.solve(L[s:e, s:e], Y[s:e])
-        Y[e:] -= L[e:, s:e] @ Y[s:e]
-    return Y
 
 
 def _split_sample_gamma_sq(

@@ -1,15 +1,17 @@
 """Sample-covariance ensembles and their empirical spectral statistics.
 
-One ``SampleEnsemble`` is a single draw: the data matrix Sigma^{1/2} X
-(entries of X scaled by N^{-1/2}) and the eigendecomposition of
-Q1 = Sigma^{1/2} X X^T Sigma^{1/2}, computed once and shared by every statistic.
-All resolvent quantities are spectral sums over the cached eigenpairs rather
-than per-z linear solves, since each trial queries several spectral points.
+One ``SampleEnsemble`` is a single draw: the data matrix B = Sigma^{1/2} X
+(entries of X scaled by N^{-1/2}).  Nothing is decomposed when it is made;
+each statistic asks for what it reads, and that is computed once and kept.
+A resolvent u^T (Q1 - E)^{-1} v at a real E above the spectrum of
+Q1 = B B^T comes from one Cholesky factor of E - Q1, shared by every
+direction at that E.  Everything else (complex points, eigenvector laws,
+plug-in Stieltjes transforms, linear statistics) is a spectral sum over the
+eigenpairs of Q1, from one ``eigh`` on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,24 +39,44 @@ __all__ = [
 ]
 
 MAX_DESK_N = 4000
+# a real point within REAL_GAP of an eigenvalue is singular for the resolvent;
+# the Cholesky route hands over to the eigenpairs NEAR_FACTOR times further out
+REAL_GAP = 1e-8
+NEAR_FACTOR = 100.0
 
 
-@dataclass(eq=False)
 class SampleEnsemble:
-    """One realization with its cached eigendecomposition.
+    """One realization: the data matrix and what its statistics have asked of it.
 
-    ``eigenvalues`` are descending; ``eigenvectors`` columns match them.
-    Eigenvalues below eigensolver roundoff are clamped to exact zero, so
-    lambda_k = 0 for k > min(n, N).
+    ``sqrt_X`` is B = Sigma^{1/2} X.  ``eigenvalues`` (descending) and
+    ``eigenvectors`` (columns matching them) are computed by one ``eigh`` of
+    Q1 = B B^T on first access; eigenvalues below eigensolver roundoff are
+    clamped to exact zero, so lambda_k = 0 for k > min(n, N).  Eigenpairs
+    passed in as arguments, or already computed, are used as they are and
+    never recomputed.  ``None`` for both means "decompose when asked".
+    Until then, a resolvent at a real point above the spectrum comes from a
+    Cholesky factor of E - Q1 (see ``resolvent_bilinear``), cached for the
+    last such E.
     """
 
-    model: PopulationModel
-    distribution: EntryDistribution
-    seed: int
-    N: int
-    sqrt_X: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    def __init__(
+        self,
+        model: PopulationModel,
+        distribution: EntryDistribution,
+        seed: int,
+        N: int,
+        sqrt_X: np.ndarray,
+        eigenvalues: np.ndarray | None,
+        eigenvectors: np.ndarray | None,
+    ) -> None:
+        self.model = model
+        self.distribution = distribution
+        self.seed = seed
+        self.N = N
+        self.sqrt_X = sqrt_X
+        self._eigenvalues = eigenvalues
+        self._eigenvectors = eigenvectors
+        self._factor: tuple[float, np.ndarray | None] | None = None
 
     @classmethod
     def from_data(
@@ -64,27 +86,63 @@ class SampleEnsemble:
         dist: EntryDistribution | None = None,
         seed: int = 0,
     ) -> "SampleEnsemble":
-        """Wrap an n x N data matrix data = Sigma^{1/2} X and eigendecompose
-        Q1 = data data^T once.  ``dist`` (Gaussian when None) and ``seed``
+        """Wrap an n x N data matrix data = Sigma^{1/2} X; nothing is computed
+        until a statistic asks.  ``dist`` (Gaussian when None) and ``seed``
         only label the draw."""
-        n, N = data.shape
-        try:
-            lam, vec = np.linalg.eigh(data @ data.T)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise EigenFailure(str(exc)) from exc
-        lam = lam[::-1].copy()
-        vec = vec[:, ::-1].copy()
-        lam[lam < 0.0] = 0.0
-        lam[min(n, N) :] = 0.0
         return cls(
             model=model,
             distribution=dist or EntryDistribution.gaussian(),
             seed=seed,
-            N=N,
+            N=data.shape[1],
             sqrt_X=data,
-            eigenvalues=lam,
-            eigenvectors=vec,
+            eigenvalues=None,
+            eigenvectors=None,
         )
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        if self._eigenvalues is None:
+            self._decompose()
+        return self._eigenvalues
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if self._eigenvectors is None:
+            self._decompose()
+        return self._eigenvectors
+
+    def _decompose(self) -> None:
+        """Eigendecompose Q1 and fill in whichever of the eigenpairs is missing."""
+        B = self.sqrt_X
+        n, N = B.shape
+        try:
+            lam, vec = np.linalg.eigh(B @ B.T)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise EigenFailure(str(exc)) from exc
+        lam = lam[::-1].copy()
+        lam[lam < 0.0] = 0.0
+        lam[min(n, N) :] = 0.0
+        if self._eigenvalues is None:
+            self._eigenvalues = lam
+        if self._eigenvectors is None:
+            self._eigenvectors = vec[:, ::-1].copy()
+        self._factor = None  # the eigenpairs answer every later call
+
+    def _factor_at(self, E: float) -> np.ndarray | None:
+        """L with E - Q1 = L L^T, or None where E is not safely above the
+        spectrum: the factorisation fails (E inside or below it), or inverse
+        iteration puts lambda_1 within ``NEAR_FACTOR`` x ``REAL_GAP`` of E.
+        Kept for the last E asked."""
+        if self._factor is None or self._factor[0] != E:
+            B = self.sqrt_X
+            try:
+                L = _factor_above(B @ B.T, E)
+                if not _lowest_eigenvalue_bound(L) >= NEAR_FACTOR * REAL_GAP:
+                    L = None
+            except np.linalg.LinAlgError:
+                L = None
+            self._factor = (E, L)
+        return self._factor[1]
 
     @property
     def n(self) -> int:
@@ -137,16 +195,83 @@ def vesd_eval(ens: SampleEnsemble, u: np.ndarray, x: float) -> float:
 def resolvent_bilinear(
     ens: SampleEnsemble, u: np.ndarray, v: np.ndarray, z: complex
 ) -> complex:
-    """u^T (Q1 - z)^{-1} v from the cached eigenpairs."""
+    """u^T (Q1 - z)^{-1} v.
+
+    At a real z = E on an ensemble not yet decomposed, and safely above its
+    spectrum, this is -(L^{-1} u) . (L^{-1} v) with E - Q1 = L L^T, the factor
+    shared by every call at that E.  Otherwise it is the spectral sum over the
+    eigenpairs, and a real z within ``REAL_GAP`` of an eigenvalue raises
+    ``NearSingular``.
+    """
     z = complex(z)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if z.imag == 0.0 and ens._eigenvectors is None:
+        L = ens._factor_at(z.real)
+        if L is not None:
+            # R_vv needs one solve: with u is v, y[:, 0] and y[:, -1] are one column
+            y = _lower_solve(L, u[:, None] if u is v else np.column_stack([u, v]))
+            return complex(-float(y[:, 0] @ y[:, -1]))
     if z.imag == 0.0:
         gap = float(np.min(np.abs(ens.eigenvalues - z.real)))
-        if gap < 1e-8:
+        if gap < REAL_GAP:
             raise NearSingular(f"real z = {z.real} within 1e-8 of the spectrum")
-    pu = ens.projections(np.asarray(u, dtype=float))
-    pv = ens.projections(np.asarray(v, dtype=float))
+    pu = ens.projections(u)
+    pv = ens.projections(v)
     val = complex(np.sum(pu * pv / (ens.eigenvalues - z)))
     return val.real + 0.0j if z.imag == 0.0 else val
+
+
+def _factor_above(Q1: np.ndarray, E: float) -> np.ndarray:
+    """Lower Cholesky factor L of E - Q1 = L L^T; the symmetric Q1 is overwritten.
+
+    The factorisation exists only when E lies numerically above the spectrum
+    of Q1, so it is also that check: ``np.linalg.LinAlgError`` otherwise.
+    Everything stays in NumPy's LAPACK: SciPy links its own OpenBLAS, and
+    alternating calls between the two leave two BLAS thread pools competing
+    for the cores whenever more than one thread is allowed.
+    """
+    Q1 *= -1.0
+    Q1.flat[:: Q1.shape[0] + 1] += E
+    return np.linalg.cholesky(Q1)
+
+
+def _lower_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^{-1} B for lower-triangular L, by block forward substitution.
+
+    NumPy has no triangular solver; each 64-row diagonal block goes through
+    ``np.linalg.solve`` and the rest of the work is matrix products.
+    """
+    Y = np.array(B, dtype=float)
+    for s in range(0, len(L), 64):
+        e = s + 64
+        Y[s:e] = np.linalg.solve(L[s:e, s:e], Y[s:e])
+        Y[e:] -= L[e:, s:e] @ Y[s:e]
+    return Y
+
+
+def _lower_t_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^{-T} B for lower-triangular L, by block back substitution."""
+    Y = np.array(B, dtype=float)
+    for e in range(len(L), 0, -64):
+        s = max(e - 64, 0)
+        Y[s:e] = np.linalg.solve(L[s:e, s:e].T, Y[s:e])
+        Y[:s] -= L[s:e, :s].T @ Y[s:e]
+    return Y
+
+
+def _lowest_eigenvalue_bound(L: np.ndarray) -> float:
+    """An upper bound on the smallest eigenvalue of M = L L^T, O(n^2): one
+    step of inverse iteration from a fixed random start, then the Rayleigh
+    quotient x^T M^{-1} x = |L^{-1} x|^2 at the iterate.
+
+    For E - Q1 = L L^T that eigenvalue is E - lambda_1.  The bound is tight
+    when E - lambda_1 is small against lambda_1 - lambda_2, unless the start
+    is nearly orthogonal to the top eigenvector of Q1.
+    """
+    x = _lower_t_solve(L, _lower_solve(L, np.random.default_rng(0).standard_normal(len(L))))
+    y = _lower_solve(L, x / np.linalg.norm(x))
+    return 1.0 / float(y @ y)
 
 
 def y_statistic(
@@ -281,9 +406,13 @@ def kappa4_hat(ens: SampleEnsemble, mode: str = "pooled") -> FourthCumulantProfi
         val = float(N / n * np.sum(A2 * A2) - 3.0)
         return FourthCumulantProfile.constant(max(val, -2.0))
     if mode == "per-row":
-        sigma_sq = float(np.sum(A**2) / n)
-        W = A / np.sqrt(sigma_sq)
-        W2 = W * W
-        vals = N * np.sum(W2 * W2, axis=1) - 3.0
+        flat = A.ravel()
+        vals = _row_kappa4(A, float(flat @ flat) / n)
         return FourthCumulantProfile.per_row(np.maximum(vals, -2.0))
     raise ValueError(f"unknown kappa4 mode {mode!r}")
+
+
+def _row_kappa4(A: np.ndarray, sigma_sq: float) -> np.ndarray:
+    """kappa(i) = N sum_j W_ij^4 - 3 for W = A / sigma, without forming W."""
+    A2 = A * A
+    return A.shape[1] * np.einsum("ij,ij->i", A2, A2) / sigma_sq**2 - 3.0

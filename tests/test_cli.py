@@ -285,6 +285,22 @@ class TestEstimate:
         assert "Traceback" not in err
 
 
+class TestEmptyData:
+    @pytest.mark.parametrize("dims", [(5, 0), (0, 5)], ids=["5x0", "0x5"])
+    @pytest.mark.parametrize(
+        "argv", [["estimate", "--vector", "e1", "--E", "4"], ["sphericity"]], ids=["estimate", "sphericity"]
+    )
+    def test_empty_matrix_exit_two(self, dims, argv, tmp_path, capsys):
+        path = tmp_path / "empty.bin"
+        write_matrix(path, np.zeros(dims))
+        code, out, err = run_cli([argv[0], "--data", str(path), *argv[1:]], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "empty" in err
+        assert "Traceback" not in err
+
+
 class TestSphericity:
     def test_verdict_json(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

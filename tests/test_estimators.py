@@ -114,6 +114,27 @@ class TestSpikeEstimator:
             w = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2)
             a.estimate_spike_strength(ens, w, 10.0, min_gap=-10.0)
 
+    @pytest.mark.parametrize("kappa_mode", ["gaussian", "pooled"])
+    def test_no_eigendecomposition(self, kappa_mode, monkeypatch):
+        # R_vv(E) above the spectrum comes from a Cholesky factor; the
+        # eigenpairs are computed only when something reads them
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        ens = _spiked_ensemble(seed=3)
+        est = a.estimate_spike_strength(ens, _e(300), 4.0, kappa_mode=kappa_mode)
+        assert calls == []
+        lam = ens.eigenvalues
+        assert len(calls) == 1
+        v = _e(300)
+        want = float(np.sum((ens.eigenvectors.T @ v) ** 2 / (lam - 4.0)))
+        assert est.resolvent == pytest.approx(want, rel=1e-12)
+
 
 class TestPopulationEstimator:
     def test_agrees_with_spike_estimator(self):
@@ -257,6 +278,23 @@ class TestSphericity:
                 assert getattr(got, key) == pytest.approx(val, rel=1e-9), key
         assert got.decision == ("reject" if want["statistic"] >= want["threshold"] else "accept")
 
+    @pytest.mark.parametrize(
+        "a_spike, x, split", [(0.0, 0.2, None), (1.0, 0.5, None), (1.0, 0.2, 4)], ids=["null", "spiked", "split4"]
+    )
+    def test_matches_the_rescaled_copy(self, a_spike, x, split):
+        # the statistic from Q1 = A A^T / sigma^2 and A * A / sigma^4 equals
+        # the one computed on the rescaled copy W = A / sigma
+        n, N = (40, 2000) if split else (200, 400)
+        data = self._data(n=n, N=N, a_spike=a_spike, x=x, seed=12)
+        u, v = _e(n), _e(n, 1)
+        got = a.sphericity_test(data, u, v, 1.0, 0.05, split_samples=split)
+        want = _rescaled_copy_sphericity(data, u, v, 1.0, split)
+        for key, val in want.items():
+            if math.isnan(val):
+                assert math.isnan(getattr(got, key)), key
+            else:
+                assert getattr(got, key) == pytest.approx(val, rel=1e-12), key
+
     def test_block_forward_solve(self):
         from scipy.linalg import solve_triangular
 
@@ -337,3 +375,25 @@ def _eigh_sphericity(A, u, v, margin, omega, split):
         "m2c_prime_hat": mp,
         "kappa4_max": kappa_max,
     }
+
+
+def _rescaled_copy_sphericity(A, u, v, margin, split):
+    """The test's numbers from the explicitly rescaled copy W = A / sigma,
+    the reference for the rescale folded into Q1 and the row cumulants."""
+    from anisomp.estimators import _resolvent_gap_above, _split_sample_gamma_sq
+
+    n, N = A.shape
+    sigma_sq = float(np.sum(A**2) / n)
+    W = A / math.sqrt(sigma_sq)
+    Q1 = W @ W.T
+    lam = np.maximum(np.linalg.eigvalsh(Q1)[::-1], 0.0)
+    E = float(lam[0]) + margin
+    out = {"E": E, "rescale_sigma_sq": sigma_sq}
+    out["statistic"] = math.sqrt(N) * abs(_resolvent_gap_above(Q1, u, v, E))
+    if split:
+        out["gamma_sq"] = _split_sample_gamma_sq(W, u, v, E, split)
+        out["kappa4_max"] = math.nan
+    else:
+        W2 = W * W
+        out["kappa4_max"] = float(np.max(N * np.sum(W2 * W2, axis=1) - 3.0))
+    return out

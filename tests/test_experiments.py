@@ -120,6 +120,23 @@ class TestRunCltCheck:
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 13
 
+    def test_outside_trials_make_no_eigendecomposition(self, monkeypatch):
+        # an outside trial reads R_vv(E) above the spectrum: one Cholesky
+        # factor per trial, shared by both directions, and no eigh
+        counts = {"eigh": 0, "cholesky": 0}
+        for name in counts:
+            fn = getattr(np.linalg, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        model = a.PopulationModel.spiked(60, (0.5,))
+        rep = run_clt_check(_clt_cfg(trials=30, model=model))
+        assert counts == {"eigh": 0, "cholesky": 30}
+        assert rep.stats["e1"]["count"] == 30
+
     def test_budget_guard(self):
         # 10^9 trials of 60 x 120 exceed the budget before any trial runs
         with pytest.raises(a.BudgetExceeded):

@@ -94,6 +94,145 @@ class TestVESD:
         assert a.vesd_eval(ens, u, ens.lambda_1) == pytest.approx(1.0, abs=1e-10)
 
 
+def _count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call; return the record."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestLazyDecomposition:
+    def test_decomposes_on_first_access_only(self, monkeypatch):
+        eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+        ens = _ensemble(20, 40, seed=4)
+        assert eigh == []
+        lam = ens.eigenvalues
+        assert len(eigh) == 1
+        vec = ens.eigenvectors
+        assert len(eigh) == 1
+        assert np.allclose((ens.sqrt_X @ ens.sqrt_X.T) @ vec, vec * lam, atol=1e-10)
+
+    def test_given_eigenpairs_are_kept(self, monkeypatch):
+        eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+        lam = np.array([5.0, 2.0, 1.0])
+        ens = a.SampleEnsemble(
+            model=a.PopulationModel.identity(3),
+            distribution=a.EntryDistribution.gaussian(),
+            seed=0,
+            N=3,
+            sqrt_X=np.zeros((3, 3)),
+            eigenvalues=lam,
+            eigenvectors=np.eye(3),
+        )
+        got = a.resolvent_bilinear(ens, np.eye(3)[0], np.eye(3)[0], 6.0)
+        assert got == -1.0
+        assert ens.eigenvalues is lam
+        assert eigh == []
+
+
+def _spiked(dist, seed, n=200, N=400):
+    model = a.PopulationModel.spiked(n, (0.5,))
+    return a.sample_ensemble(model, N, dist, seed)
+
+
+def _decomposed(ens):
+    """The same draw as ``ens``, decomposed, so it takes the eigenpair route."""
+    again = a.SampleEnsemble.from_data(ens.model, ens.sqrt_X, ens.distribution, ens.seed)
+    again.eigenvectors
+    return again
+
+
+class TestCholeskyRoute:
+    @pytest.mark.parametrize(
+        "dist", [a.EntryDistribution.gaussian(), a.EntryDistribution.rademacher()], ids=lambda d: d.kind
+    )
+    @pytest.mark.parametrize("E", [3.2, 4.0, 7.5])
+    def test_matches_eigenpair_route(self, dist, E, monkeypatch):
+        ens = _spiked(dist, seed=21)
+        ref = _decomposed(ens)
+        eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+        n = ens.n
+        rng = np.random.default_rng(5)
+        flat = rng.standard_normal(n)
+        flat /= np.linalg.norm(flat)
+        e1, e2 = np.eye(n)[0], np.eye(n)[1]
+        for u, v in ((e1, e1), (e2, e2), (flat, flat), (e1, e2), (e1, flat)):
+            got = a.resolvent_bilinear(ens, u, v, E)
+            want = a.resolvent_bilinear(ref, u, v, E)
+            assert got.imag == 0.0
+            assert abs(got - want) <= 1e-12 * abs(want), (u @ v, got, want)
+        assert eigh == []
+
+    def test_one_factor_per_point(self, monkeypatch):
+        ens = _spiked(a.EntryDistribution.gaussian(), seed=22)
+        chol = _count_calls(monkeypatch, np.linalg, "cholesky")
+        e1, e2 = np.eye(ens.n)[0], np.eye(ens.n)[1]
+        for u, v in ((e1, e1), (e2, e2), (e1, e2)):
+            a.resolvent_bilinear(ens, u, v, 4.0)
+        assert len(chol) == 1
+        a.resolvent_bilinear(ens, e1, e1, 5.0)
+        assert len(chol) == 2
+
+    def test_inside_the_spectrum_is_the_eigenpair_value(self):
+        ens = _spiked(a.EntryDistribution.gaussian(), seed=23)
+        ref = _decomposed(ens)
+        lam = ref.eigenvalues
+        E = 0.5 * float(lam[50] + lam[51])
+        v = np.eye(ens.n)[0]
+        assert a.resolvent_bilinear(ens, v, v, E) == a.resolvent_bilinear(ref, v, v, E)
+
+    @pytest.mark.parametrize("offset", [1e-10, -1e-10])
+    def test_near_the_top_eigenvalue_raises(self, offset):
+        ens = _spiked(a.EntryDistribution.gaussian(), seed=24)
+        E = _decomposed(ens).lambda_1 + offset
+        v = np.eye(ens.n)[1]
+        with pytest.raises(a.NearSingular):
+            a.resolvent_bilinear(ens, v, v, E)
+
+    def test_just_outside_the_gap_hands_over(self, monkeypatch):
+        # lambda_1 + 1e-7 is clear of the 1e-8 singular band but inside the
+        # hand-over margin, so the value is the eigenpair route's, bit for bit
+        ens = _spiked(a.EntryDistribution.gaussian(), seed=25)
+        ref = _decomposed(ens)
+        E = ref.lambda_1 + 1e-7
+        eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+        v = np.eye(ens.n)[0]
+        assert a.resolvent_bilinear(ens, v, v, E) == a.resolvent_bilinear(ref, v, v, E)
+        assert len(eigh) == 1
+
+    def test_transposed_triangular_solve(self):
+        from scipy.linalg import solve_triangular
+
+        from anisomp.matrix_models import _lower_t_solve
+
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((150, 300))
+        L = np.linalg.cholesky(M @ M.T / 300.0)
+        B = rng.standard_normal((150, 2))
+        want = solve_triangular(L, B, lower=True, trans=True)
+        got = _lower_t_solve(L, B)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_lowest_eigenvalue_bound(self):
+        from anisomp.matrix_models import _lowest_eigenvalue_bound
+
+        ens = _spiked(a.EntryDistribution.gaussian(), seed=26)
+        lam1 = _decomposed(ens).lambda_1
+        B = ens.sqrt_X
+        # E - lambda_1 near the hand-over margin, far below the spectral gap
+        # lambda_1 - lambda_2: two steps already land on it
+        for gap in (1e-9, 1e-7, 1e-5):
+            M = (lam1 + gap) * np.eye(ens.n) - B @ B.T
+            bound = _lowest_eigenvalue_bound(np.linalg.cholesky(M))
+            assert bound == pytest.approx(gap, rel=1e-3)
+
+
 class TestResolvent:
     def test_upper_half_plane_positivity(self):
         ens = _ensemble(20, 40, seed=6)
