@@ -222,8 +222,6 @@ def cmd_estimate(args) -> int:
     try:
         # Sigma of raw data is unknown; the model only labels the ensemble
         ens = SampleEnsemble.from_data(PopulationModel.identity(n), data)
-        if args.E <= ens.lambda_1 + 1e-9:
-            raise OutsideDomain(f"E = {args.E} inside the sample spectrum")
         if args.method == "spike":
             est = estimate_spike_strength(
                 ens, v, args.E, alpha=args.alpha, kappa_mode=args.kappa_mode

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import OutsideDomain, PositivityViolation
 from .mp_law import (
-    ETA0,
     OMEGA,
     TAU,
     PopulationSpectrum,
@@ -315,11 +314,10 @@ def _support_nodes(
     square-root edge factors; the integrands of the covariance formulas all
     vanish identically off the support, so no exterior panels are needed.
     Every bulk holds whole 16-node Gauss panels and the nodes ascend, so the
-    rows that ``solve_m2c_grid`` marches are exactly these panels.  One
-    Newton step at eta = 0 moves m from x + i*ETA0 to the boundary value,
-    which removes a bias of order ETA0 from the covariances; m' = -1/h'(m)
-    comes from the solver's defect derivative.  Cached: a family of
-    covariances on one spectrum solves once.
+    rows that ``solve_m2c_grid`` marches are exactly these panels, at
+    eta = 0: m is the boundary value m(x + i0), and m' = -1/h'(m) comes from
+    the solver's defect derivative.  Cached: a family of covariances on one
+    spectrum solves once.
     """
     xs, ws = [], []
     for lo, hi, panels in bulks:
@@ -329,11 +327,8 @@ def _support_nodes(
         ws.append(wt * half * np.cos(t))
     x = np.concatenate(xs)
     vals, wts = _atoms(spectrum)
-    d = spectrum.aspect_ratio
-    m = solve_m2c_grid(x, ETA0, spectrum)
-    h, hp = _defect_grid(m, x + 0j, d, vals, wts)
-    m = m - h / hp
-    mp = -1.0 / _defect_grid(m, x + 0j, d, vals, wts)[1]
+    m = solve_m2c_grid(x, 0.0, spectrum)
+    mp = -1.0 / _defect_grid(m, x + 0j, spectrum.aspect_ratio, vals, wts)[1]
     out = (x, np.concatenate(ws), m, mp)
     for arr in out:
         arr.setflags(write=False)

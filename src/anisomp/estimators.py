@@ -178,10 +178,14 @@ def _invert_resolvent(
     method: str,
 ) -> EstimateWithInterval:
     """The estimate both estimators share: invert R_vv(E) ~ -E^{-1}/(1 + m sigma)
-    for sigma, given m(E) and m'(E) from the estimator's Stieltjes source."""
+    for sigma, given m(E) and m'(E) from the estimator's Stieltjes source.
+    E must lie above the sample spectrum; a Cholesky factor of E - Q1, which
+    the resolvent reuses, shows that without reading lambda_1 (an ``eigh``)."""
     r = float(np.real(resolvent_bilinear(ens, v, v, E)))
     if abs(r) < 1e-12:
         raise ResolventDegenerate("R_vv(E) vanished; cannot invert")
+    if (ens._eigenvectors is not None or ens._factor_at(E) is None) and E <= ens.lambda_1 + 1e-9:
+        raise OutsideDomain(f"E = {E} inside the sample spectrum")
     m = float(np.real(m))
     m_prime = float(np.real(m_prime))
     point = -(1.0 / m) * (1.0 / (E * r) + 1.0)

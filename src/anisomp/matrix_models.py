@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EigenFailure, NearSingular, QuadratureFailure
-from .mp_law import ETA0, as_unit_vector, solve_m2c_grid, support_edges
+from .mp_law import as_unit_vector, solve_m2c_grid, support_edges
 from .clt_theory import TestFunction, _gl_panels, _m_at
 from .populations import (
     EntryDistribution,
@@ -334,7 +334,8 @@ def _centering_integral(
     E: float,
     eta: float,
 ) -> float:
-    """integral f((x-E)/eta) dF_{1c,v}(x) by 48 Gauss panels over supp f.
+    """integral f((x-E)/eta) dF_{1c,v}(x) by 48 Gauss panels over supp f,
+    with the boundary values m(x + i0) of ``solve_m2c_grid`` at eta = 0.
 
     Deterministic per (population, direction weights, f, E, eta); cached so
     Monte-Carlo sweeps pay for the quadrature once.
@@ -355,7 +356,7 @@ def _centering_integral(
     total = 0.0
     for p_lo, p_hi in pieces:
         u, wu = _gl_panels(p_lo, p_hi, 48, 8)
-        m = solve_m2c_grid(u, ETA0, spectrum)
+        m = solve_m2c_grid(u, 0.0, spectrum)
         rho = np.maximum(m.imag, 0.0) / np.pi
         acc = np.zeros_like(u)
         for s, wgt in zip(sig, wts):

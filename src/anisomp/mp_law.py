@@ -13,7 +13,6 @@ compute per-bulk masses and classical eigenvalue locations by quadrature.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,7 +43,6 @@ __all__ = [
     "support_distance",
     "regularity_check",
     "anisotropic_density",
-    "anisotropic_density_from_weights",
     "null_mp_m2c",
     "null_mp_m2c_prime",
     "null_mp_edges",
@@ -54,11 +52,11 @@ __all__ = [
 
 
 # Solver constants.  Boundary evaluations (eta = 0) require |E| >= OMEGA.
-# ETA0 regularizes the eta -> 0+ limit: the boundary solve and the bulk
-# quadratures descend the eta ladder to E + i*ETA0.  The damped fixed point
-# (step DAMPING, at most MAX_ITER sweeps) hands over to Newton once a step
-# is below NEWTON_SWITCH relative to max(1, |m|), and a point is converged
-# once |m h(m)| <= RESIDUAL_TOL.
+# For a boundary value the eta ladder stops at E + i*ETA0, and Newton then
+# solves at eta = 0 itself (``_solve_panels``).  The damped fixed point (step
+# DAMPING, at most MAX_ITER sweeps) hands over to Newton once a step is below
+# NEWTON_SWITCH relative to max(1, |m|), and a point is converged once
+# |m h(m)| <= RESIDUAL_TOL.
 OMEGA = 1e-2
 ETA0 = 1e-9
 DAMPING = 0.5
@@ -157,9 +155,6 @@ class SupportStructure:
             "bulk_counts": list(self.bulk_counts),
             "gamma": list(self.classical_locations),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -340,26 +335,15 @@ def _check_branch(z: np.ndarray | complex, m: np.ndarray | complex) -> None:
 def _solve_boundary(energies: np.ndarray, pop: PopulationSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """Boundary values m(E + i0) and their residuals for an array of real E.
 
-    Each point is solved on its own, so a point's value does not depend on
-    the rest of the array.  The vectorised eta ladder (``_solve_ladder_grid``)
-    brings every point to E + i*ETA0; Newton at eta = 0 then converges to the
-    root with Im m > 0 inside a bulk, and to the real root outside the bulks,
-    started there from Re m.  Once the residual tolerance is met, one more
-    Newton step polishes every point: within about 1e-4 of an edge z'(m) is
-    small, and the first iterate inside the tolerance can still be 1e-9 off.
+    The one-column case of ``_solve_panels`` at eta = 0: every point is its
+    own row, so a point's value does not depend on the rest of the array.
     Raises NonConvergence or BranchViolation at the first point that fails.
     """
     E = np.asarray(energies, dtype=float)
     vals, wts = _atoms(pop)
-    d = pop.aspect_ratio
-    m = _solve_ladder_grid(E, ETA0, pop)
-    m = np.where(support_distance(E, pop) > 0.0, m.real + 0j, m)
-    z = E + 0j
-    m, _ = _newton_grid(m, z, d, vals, wts)
+    m = _solve_panels(E[:, None], 0.0, pop)[:, 0]
     with np.errstate(all="ignore"):  # an edge point fails the residual check below
-        h, hp = _defect_grid(m, z, d, vals, wts)
-        m = m - h / hp
-        res = np.abs(m * _defect_grid(m, z, d, vals, wts)[0])
+        res = np.abs(m * _defect_grid(m, E + 0j, pop.aspect_ratio, vals, wts)[0])
     failed = ~(res <= RESIDUAL_TOL)
     if failed.any():
         k = int(np.argmax(failed))
@@ -426,13 +410,13 @@ _PANEL = 16  # energies per row of the march in solve_m2c_grid, the Gauss order 
 
 
 def solve_m2c_grid(energies: np.ndarray, eta: float, pop: PopulationSpectrum) -> np.ndarray:
-    """Solve at E + i*eta, eta > 0, along an ascending grid of real energies.
+    """Solve at E + i*eta along an ascending grid of real energies.
 
-    The grid is cut into rows of 16 consecutive energies, the last row padded
-    with the last energy, and ``_solve_panels`` marches along all rows at
-    once: each row starts from the vectorised eta ladder, each later point
-    warm-starts from its neighbour, and one last Newton step polishes every
-    point.  A grid of Gauss panels of order 16 is marched panel by panel.
+    ``eta == 0`` is the boundary limit eta -> 0+, as in ``solve_m2c_points``;
+    a negative or non-finite eta raises ValueError.  The grid is cut into
+    rows of 16 consecutive energies, the last row padded with the last
+    energy, and ``_solve_panels`` marches along all rows at once.  A grid of
+    Gauss panels of order 16 is marched panel by panel.
     """
     E = np.asarray(energies, dtype=float)
     flat = E.ravel()
@@ -445,27 +429,41 @@ def solve_m2c_grid(energies: np.ndarray, eta: float, pop: PopulationSpectrum) ->
 
 
 def _solve_panels(energies: np.ndarray, eta: float, pop: PopulationSpectrum) -> np.ndarray:
-    """The warm-start march at E + i*eta on a (rows, cols) array whose rows
-    ascend in E, vectorised across the rows.
+    """The warm-start march at E + i*eta, eta >= 0, on a (rows, cols) array
+    whose rows ascend in E, vectorised across the rows.
 
-    The first column comes from ``_solve_ladder_grid``.  Each later column
-    is one vectorised Newton solve started from the column before it; a
-    point that misses the residual tolerance or leaves the upper half-plane
-    is re-solved by the ladder.  One last Newton step polishes every point.
+    Each column is one Newton solve at E + i*eta started from the column
+    before it.  The first column, and at eta = 0 (the boundary value
+    m(E + i0)) a point off the support, start from the eta ladder to
+    E + i*(eta or ETA0); such a point's root is real, and it starts from Re m
+    because a warm start can reach another real root.  A later point that
+    ``_off_branch`` flags, or at eta = 0 a point inside with Im m <= 0 (a real
+    root), starts again from the ladder.  One last Newton step polishes every
+    point: near an edge z'(m) is small, and the first iterate inside the
+    tolerance can still be 1e-9 off.
     """
     E = np.asarray(energies, dtype=float)
     vals, wts = _atoms(pop)
     d = pop.aspect_ratio
-    m = np.empty(E.shape, dtype=complex)
-    m[:, 0] = _solve_ladder_grid(E[:, 0], eta, pop)
-    for j in range(1, E.shape[1]):
-        z = E[:, j] + 1j * eta
-        m[:, j], res = _newton_grid(m[:, j - 1], z, d, vals, wts)
-        bad = _off_branch(m[:, j], res)
+    rung = eta or ETA0
+    z = E + 1j * eta
+    off = support_distance(E, pop) > 0.0 if eta == 0.0 else np.zeros(E.shape, dtype=bool)
+    m = np.zeros(E.shape, dtype=complex)
+    for j in range(E.shape[1]):
+        fresh = off[:, j] | (j == 0)
+        start = m[:, j - 1].copy()
+        if fresh.any():
+            start[fresh] = _solve_ladder_grid(E[fresh, j], rung, pop)
+        start = np.where(off[:, j], start.real + 0j, start)
+        m[:, j], res = _newton_grid(start, z[:, j], d, vals, wts)
+        real_root = (eta == 0.0) & ~off[:, j] & (m[:, j].imag <= 0.0)
+        bad = ~fresh & (_off_branch(m[:, j], res) | real_root)
         if bad.any():
-            m[bad, j] = _solve_ladder_grid(E[bad, j], eta, pop)
-    h, hp = _defect_grid(m, E + 1j * eta, d, vals, wts)
-    return m - h / hp
+            redo = _solve_ladder_grid(E[bad, j], rung, pop)
+            m[bad, j] = _newton_grid(redo, z[bad, j], d, vals, wts)[0]
+    with np.errstate(all="ignore"):  # the caller judges a point that sits on an edge
+        h, hp = _defect_grid(m, z, d, vals, wts)
+        return m - h / hp
 
 
 def m2c_derivative(z: complex, pop: PopulationSpectrum) -> complex:
@@ -615,7 +613,7 @@ def _bulk_mass_panels(
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     # (panels, 16): row k holds panel k's Gauss nodes, ascending in t and x
     t_all = 0.5 * (t_bounds[:-1] + t_bounds[1:])[:, None] + 0.5 * np.diff(t_bounds)[:, None] * nodes
-    m_all = _solve_panels(mid + half * np.sin(t_all), ETA0, pop)
+    m_all = _solve_panels(mid + half * np.sin(t_all), 0.0, pop)
     integrand = np.maximum(m_all.imag, 0.0) / math.pi * (half * np.cos(t_all))
     per_panel = integrand @ weights * (0.5 * (t_bounds[1:] - t_bounds[:-1]))
     cum = np.concatenate([[0.0], np.cumsum(per_panel)])
@@ -811,7 +809,7 @@ def regularity_check(pop: PopulationSpectrum, tau: float = TAU) -> RegularityRep
             bulk_flags.append(BulkFlags(lo=lo, hi=hi, interior_density_min=0.0))
             continue
         xs = np.linspace(a, b, 101)
-        m = solve_m2c_grid(xs, ETA0, pop)
+        m = solve_m2c_grid(xs, 0.0, pop)
         bulk_flags.append(
             BulkFlags(lo=lo, hi=hi, interior_density_min=float(np.min(m.imag) / math.pi))
         )
@@ -831,7 +829,7 @@ def regularity_check(pop: PopulationSpectrum, tau: float = TAU) -> RegularityRep
 # anisotropic (direction-dependent) law
 
 
-def anisotropic_density_from_weights(
+def _anisotropic_density_from_weights(
     E: float, pop: PopulationSpectrum, sigmas: np.ndarray, weights: np.ndarray
 ) -> float:
     """Direction-resolved density with the direction given as eigenbasis
@@ -858,7 +856,7 @@ def anisotropic_density(
     if len(v) != pop.n:
         raise ValueError("direction vector length must equal the population dimension")
     vt = v if eigenvectors is None else eigenvectors.T @ v
-    return anisotropic_density_from_weights(E, pop, np.asarray(pop.eigenvalues), vt**2)
+    return _anisotropic_density_from_weights(E, pop, np.asarray(pop.eigenvalues), vt**2)
 
 
 def as_unit_vector(v: Iterable[float]) -> np.ndarray:

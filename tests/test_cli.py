@@ -273,6 +273,28 @@ class TestEstimate:
         )
         assert code == 4
 
+    def test_spike_method_does_not_decompose(self, spiked_file, capsys, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or eigh(A))
+        code, _, _ = run_cli(
+            ["estimate", "--data", spiked_file, "--method", "spike", "--E", "4.0"], capsys
+        )
+        assert code == 0
+        assert calls == []
+
+    def test_E_below_lambda_1_exit_four(self, tmp_path, capsys):
+        # an outlier near 4.67 lies above E = 4, which is clear of the bulk edge 2.91
+        model = a.PopulationModel.spiked(200, (3.0,))
+        ens = a.sample_ensemble(model, 400, a.EntryDistribution.gaussian(), seed=7)
+        assert 4.0 < ens.lambda_1
+        path = tmp_path / "outlier.bin"
+        write_matrix(path, ens.sqrt_X)
+        code, out, err = run_cli(["estimate", "--data", str(path), "--E", "4.0"], capsys)
+        assert code == 4
+        assert out == ""
+        assert "inside the sample spectrum" in err
+
     def test_truncated_header_exit_two(self, tmp_path, capsys):
         from anisomp.io import MAGIC
 

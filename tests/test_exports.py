@@ -1,5 +1,5 @@
-"""Every name a module of the package lists in ``__all__`` exists, and the
-package's count of options is pinned."""
+"""Every name a module of the package lists in ``__all__`` exists, the
+package's count of options is pinned, and only ``mp_law`` names ``ETA0``."""
 
 import ast
 import importlib
@@ -41,3 +41,19 @@ def _option_count() -> int:
 def test_option_count():
     # a change that adds or removes an option updates this number in its diff
     assert _option_count() == 67
+
+
+def test_only_mp_law_names_eta0():
+    # where the eta -> 0 limit is taken is a decision of the solver module alone
+    names = []
+    for path in sorted(Path(anisomp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = (
+                (isinstance(node, ast.Name) and node.id == "ETA0")
+                or (isinstance(node, ast.Attribute) and node.attr == "ETA0")
+                or (isinstance(node, ast.alias) and node.name == "ETA0")
+            )
+            if named:
+                names.append(path.name)
+    assert "mp_law.py" in names
+    assert sorted(set(names) - {"mp_law.py"}) == []

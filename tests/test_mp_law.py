@@ -147,11 +147,37 @@ class TestBoundaryAccuracy:
         want = np.array([a.null_mp_m2c(complex(e, eta0), self.D) for e in x])
         assert np.max(np.abs(got - want)) < 1e-11
 
+    def test_boundary_grid_matches_closed_form(self):
+        pop = a.PopulationSpectrum.identity(8, self.D)
+        x = self.points()
+        got = a.solve_m2c_grid(x, 0.0, pop)
+        want = np.array([a.null_mp_m2c(e, self.D) for e in x])
+        assert np.max(np.abs(got - want)) < 1e-11
+
     def test_scalar_boundary_matches_closed_form(self):
         pop = a.PopulationSpectrum.identity(8, self.D)
         for E in self.points():
             got = a.solve_m2c(complex(E, 0.0), pop).m
             assert abs(got - a.null_mp_m2c(E, self.D)) < 1e-11, E
+
+
+class TestBoundaryGrid:
+    """``solve_m2c_grid`` at eta = 0 is the boundary value of the point solve."""
+
+    def test_matches_points_over_bulks_and_gaps(self):
+        pop = a.PopulationSpectrum((4.0,) * 3 + (1.0,) * 9, 0.2)
+        edges = a.support_edges(pop)
+        assert len(edges) == 4
+        E = np.linspace(0.5 * edges[-1], 1.3 * edges[0], 1500)
+        dist = mp_law.support_distance(E, pop)
+        assert np.any(dist > 0.0) and np.any(dist == 0.0)
+        want = mp_law.solve_m2c_points(E, 0.0, pop)[0]
+        assert np.max(np.abs(a.solve_m2c_grid(E, 0.0, pop) - want)) < 1e-12
+
+    @pytest.mark.parametrize("eta", [-1e-3, math.nan])
+    def test_negative_or_nan_eta_raises(self, null_pop_half, eta):
+        with pytest.raises(ValueError):
+            a.solve_m2c_grid(np.array([0.5, 1.0]), eta, null_pop_half)
 
 
 class TestBatchedPointSolves:
@@ -224,7 +250,7 @@ class TestLargeSpectra:
         big = a.support_structure(a.PopulationSpectrum((50.0,) * 10, self.D), 50)
         want = 50.0 * np.asarray(one.classical_locations)
         got = np.asarray(big.classical_locations)
-        assert np.max(np.abs(got - want) / want) < 1e-9
+        assert np.max(np.abs(got - want) / want) < 1e-14
 
 
 class TestDerivative:
@@ -340,7 +366,7 @@ class TestSupport:
             for j in range(1, len(got) + 1)
         ]
         assert len(got) == N // 2
-        assert np.max(np.abs(got - np.asarray(want))) <= 1e-8
+        assert np.max(np.abs(got - np.asarray(want))) <= 1e-13
 
     def test_classical_locations_reuse_the_quadrature(self, monkeypatch):
         calls = []
@@ -367,20 +393,12 @@ class TestSupport:
             pop = a.PopulationSpectrum.identity(4, d)
             s = a.support_structure(pop, 50)
             bulk_mass = sum(s.bulk_masses)
-            assert bulk_mass + max(1.0 - d, 0.0) == pytest.approx(1.0, abs=1e-8)
+            assert bulk_mass + max(1.0 - d, 0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_whole_support_requires_d_away_from_one(self):
         pop = a.PopulationSpectrum.identity(4, 0.999)
         with pytest.raises(ValueError):
             a.support_structure(pop, 100)
-
-    def test_json_round_trip(self, null_pop_half):
-        import json
-
-        s = a.support_structure(null_pop_half, 10)
-        data = json.loads(s.to_json())
-        assert set(data) == {"edges", "bulk_counts", "gamma"}
-        assert data["edges"] == list(s.edges)
 
 
 class TestRegularity:
