@@ -9,6 +9,7 @@ and dispatches.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -302,7 +303,10 @@ def cmd_reproduce(args) -> int:
 # parser
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The five-subcommand parser, built once per process; parsing leaves it
+    unchanged, so every ``main`` call reads a fresh namespace from it."""
     parser = argparse.ArgumentParser(
         prog="anisomp",
         description="Deterministic spectral laws and CLT verification for "

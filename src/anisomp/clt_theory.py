@@ -30,6 +30,7 @@ from .mp_law import (
     _atoms,
     _defect_grid,
     _gl,
+    _m_prime,
     as_unit_vector,
     m2c_derivative,
     solve_m2c,
@@ -187,8 +188,14 @@ def alpha_hat(
 ) -> complex:
     """Complex fourth-cumulant kernel for the resolvent process."""
     v1, v2 = as_unit_vector(v1), as_unit_vector(v2)
-    m1 = _m_at(z1, pop)
-    m2 = _m_at(z2, pop)
+    return _alpha_hat_at(z1, z2, _m_at(z1, pop), _m_at(z2, pop), v1, v2, pop, kappa)
+
+
+def _alpha_hat_at(
+    z1: complex, z2: complex, m1: complex, m2: complex, v1: np.ndarray, v2: np.ndarray,
+    pop: Population, kappa: FourthCumulantProfile,
+) -> complex:
+    """``alpha_hat`` from m1 = m(z1) and m2 = m(z2)."""
     s = kappa.row_weights(pop.n)
     p1 = pop.model.phi(m1, v1) ** 2
     p2 = pop.model.phi(m2, v2) ** 2
@@ -213,6 +220,14 @@ def beta_hat(
     else:
         m2 = _m_at(z2, pop)
         dq = (m1 - m2) / (z1 - z2)
+    return _beta_hat_at(z1, z2, m1, m2, dq, v1, v2, pop)
+
+
+def _beta_hat_at(
+    z1: complex, z2: complex, m1: complex, m2: complex, dq: complex, v1: np.ndarray,
+    v2: np.ndarray, pop: Population,
+) -> complex:
+    """``beta_hat`` from m1 = m(z1), m2 = m(z2) and their difference quotient dq."""
     c = pop.model.sigma_bilinear(m1, m2, v1, v2)
     return complex(2.0 * dq / (z1 * z2) * c**2)
 
@@ -235,7 +250,8 @@ def resolvent_covariance(
     ``global``: alpha_hat + beta_hat at (z1, z2) in the upper/lower planes.
     ``local``: the indicator-gated bulk covariance at real E with scale
     directions w1, w2.  ``outside``: the real variance kernel at E at least
-    TAU off the support (raises OutsideDomain otherwise).
+    TAU off the support (raises OutsideDomain otherwise), alpha_hat +
+    beta_hat at (E, E) from one solve of m(E).
     """
     if mode == "global":
         if z1 is None or z2 is None:
@@ -255,7 +271,12 @@ def resolvent_covariance(
             raise ValueError("outside mode needs E")
         kappa = kappa or FourthCumulantProfile.gaussian()
         _require_outside(E, pop)
-        val = alpha_hat(E, E, v1, v2, pop, kappa) + beta_hat(E, E, v1, v2, pop)
+        v1, v2 = as_unit_vector(v1), as_unit_vector(v2)
+        z = complex(E)
+        m = _m_at(z, pop)
+        val = _alpha_hat_at(z, z, m, m, v1, v2, pop, kappa) + _beta_hat_at(
+            z, z, m, m, _m_prime(m, z, pop.spectrum), v1, v2, pop
+        )
         return float(np.real(val))
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -412,7 +433,7 @@ def _global_covariance(
     if not kappa.is_zero:
         s = kappa.row_weights(pop.n)
         rows_i = np.imag((m / x)[:, None] * pop.model.phi(m, v_i) ** 2)  # (nodes, n)
-        rows_j = np.imag((m / x)[:, None] * pop.model.phi(m, v_j) ** 2)
+        rows_j = rows_i if v_j is v_i else np.imag((m / x)[:, None] * pop.model.phi(m, v_j) ** 2)
         ai = rows_i.T @ (w * fi_x)  # (n,)
         aj = rows_j.T @ (w * fj_x)
         term1 = float(np.sum(s * ai * aj)) / math.pi**2
@@ -428,7 +449,7 @@ def _global_covariance(
     return term1 + term2 + term3
 
 
-BLOCK = 64  # rows of the beta kernel held at once
+BLOCK = 32  # rows of the beta kernel held at once: 32 x 2000 complex entries are 1 MiB, inside L2
 
 
 def _beta_contraction(
@@ -439,31 +460,38 @@ def _beta_contraction(
     (m and m' given there), and C0 = C(m_a, conj m_a).
 
     Off the diagonal K = Re[(m_a - conj m_b) Cm^2 - (m_a - m_b) Cp^2]/(x_a - x_b)
-    with Cm = C(m_a, conj m_b) and Cp = C(m_a, m_b).  K is never formed: BLOCK
-    rows at a time, Cm^2 and Cp^2 are scaled by 1/(x_a - x_b), taken 0 on the
-    diagonal, and applied to q, conj(m) q and m q, so memory is O(BLOCK * nodes).
-    The diagonal is the limit ``_beta_diagonal``.
+    with Cm = C(m_a, conj m_b) and Cp = C(m_a, m_b).  K is symmetric: swapping
+    the nodes conjugates Cm, leaves Cp and negates both m differences and
+    x_a - x_b.  So only the blocks on and above the diagonal are formed, and
+    K is never held whole: BLOCK rows R at a time, against the columns from
+    R's first row on, Cm^2 and Cp^2 are scaled by 1/(x_a - x_b), taken 0 on
+    the diagonal and halved on the square R x R, and applied to q, conj(m) q,
+    p, conj(m) p and their twins with m, which adds p_R (K q)_R + q_R (K p)_R.
+    Memory is O(BLOCK * nodes).  The diagonal is the limit ``_beta_diagonal``.
     """
     sig, wts = pop.model.pair_weights(v_i, v_j)
     left, right = _contraction_factors(sig, wts, m)
     right_c = np.conj(right)
-    rhs_mixed, rhs_plain = np.stack([q, np.conj(m) * q], 1), np.stack([q, m * q], 1)
+    mc = np.conj(m)
+    rhs_mixed = np.stack([q, mc * q, p, mc * p], 1)
+    rhs_plain = np.stack([q, m * q, p, m * p], 1)
     total = 0.0
     for start in range(0, len(x), BLOCK):
-        rows = slice(start, start + BLOCK)
-        recip = np.subtract.outer(x[rows], x)
-        np.fill_diagonal(recip[:, start:], 1.0)
+        rows, cols = slice(start, start + BLOCK), slice(start, None)
+        recip = np.subtract.outer(x[rows], x[cols])
+        np.fill_diagonal(recip, 1.0)
         np.reciprocal(recip, out=recip)
-        np.fill_diagonal(recip[:, start:], 0.0)
-        cm = left[rows] @ right_c.T
+        np.fill_diagonal(recip, 0.0)
+        recip[:, :BLOCK] *= 0.5
+        cm = left[rows] @ right_c[cols].T
         cm *= cm
         cm *= recip
-        cp = left[rows] @ right.T
+        cp = left[rows] @ right[cols].T
         cp *= cp
         cp *= recip
-        pm, pp = cm @ rhs_mixed, cp @ rhs_plain
-        acc = m[rows] * (pm[:, 0] - pp[:, 0]) - pm[:, 1] + pp[:, 1]
-        total += float(p[rows] @ acc.real)
+        pm, pp = cm @ rhs_mixed[cols], cp @ rhs_plain[cols]
+        acc = m[rows, None] * (pm[:, 0::2] - pp[:, 0::2]) - pm[:, 1::2] + pp[:, 1::2]
+        total += float(p[rows] @ acc[:, 0].real + q[rows] @ acc[:, 1].real)
     diag, c0 = _beta_diagonal(sig, wts, m, mp)
     return total + float(np.sum(p * diag * q)), c0
 

@@ -468,7 +468,11 @@ def _solve_panels(energies: np.ndarray, eta: float, pop: PopulationSpectrum) -> 
 
 def m2c_derivative(z: complex, pop: PopulationSpectrum) -> complex:
     """m'(z) by implicit differentiation of the self-consistent equation."""
-    m = solve_m2c(z, pop).m
+    return _m_prime(solve_m2c(z, pop).m, z, pop)
+
+
+def _m_prime(m: complex, z: complex, pop: PopulationSpectrum) -> complex:
+    """``m2c_derivative`` at z from m = m(z) already solved there."""
     vals, wts = _atoms(pop)
     avg_sq = complex(np.sum(wts * vals**2 / (1.0 + m * vals) ** 2))
     denom = 1.0 / m**2 - pop.aspect_ratio * avg_sq

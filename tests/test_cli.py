@@ -37,6 +37,34 @@ class TestHelp:
         assert exc.value.code == 2
 
 
+class TestParserReuse:
+    """``build_parser`` is built once per process and every call parses afresh."""
+
+    def test_calls_in_one_process_match_calls_alone(self, tmp_path, capsys):
+        from anisomp import cli
+
+        spec = tmp_path / "spec.txt"
+        a.write_spectrum_file(spec, a.PopulationSpectrum((4.0,) * 3 + (1.0,) * 9, 0.3))
+        calls = [
+            ["mp-law", "--identity", "--d", "0.5", "--edges-only", "--N", "10"],
+            ["clt-kernel", "--identity", "--d", "0.5", "--n", "4", "--E", "4.0", "--kappa", "1.5"],
+            ["mp-law", "--spectrum", str(spec), "--grid", "1.0:0.5:3.0"],
+        ]
+        alone = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            alone.append(run_cli(argv, capsys))
+        cli.build_parser.cache_clear()
+        together = [run_cli(argv, capsys) for argv in calls]
+        assert cli.build_parser.cache_info().misses == 1
+        assert together == alone
+        assert together[2][1].startswith("E,rho2c,re_m,im_m\n")
+        args = cli.build_parser().parse_args(calls[2])
+        assert (args.identity, args.d, args.N, args.edges_only) == (False, None, None, False)
+        cli.build_parser.cache_clear()
+        assert vars(cli.build_parser().parse_args(calls[2])) == vars(args)
+
+
 class TestMpLaw:
     def test_grid_row_values(self, capsys):
         code, out, _ = run_cli(

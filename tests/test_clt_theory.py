@@ -246,6 +246,24 @@ class TestResolventCovariance:
         with pytest.raises(a.OutsideDomain):
             a.resolvent_covariance("outside", pop, v, v, kappa=K4.gaussian(), E=1.0)
 
+    def test_outside_solves_m_once(self, monkeypatch):
+        from anisomp import mp_law
+
+        pop = a.Population(a.PopulationModel.from_diagonal([4.0, 4.0, 1.0, 1.0, 1.0, 2.5]), 12)
+        rng = np.random.default_rng(12)
+        v1, v2 = rng.standard_normal(6), rng.standard_normal(6)
+        v1, v2 = v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
+        kappa, E = K4.constant(1.3), 1.5 * a.support_edges(pop.spectrum)[0]
+        want = float(np.real(
+            a.alpha_hat(E, E, v1, v2, pop, kappa) + a.beta_hat(E, E, v1, v2, pop)
+        ))
+        calls = []
+        solve = mp_law.solve_m2c_points
+        monkeypatch.setattr(mp_law, "solve_m2c_points", lambda *args: calls.append(args) or solve(*args))
+        got = a.resolvent_covariance("outside", pop, v1, v2, kappa=kappa, E=E)
+        assert len(calls) == 1
+        assert got == want
+
 
 class TestVariancePositivity:
     def test_gaussian_equals_beta_hat(self):
@@ -562,6 +580,66 @@ class TestBetaContraction:
         want = float(p @ kern @ q)
         assert got == pytest.approx(want, rel=1e-12)
         assert np.max(np.abs(c0 - c0_ref)) <= 1e-12 * np.max(np.abs(c0_ref))
+
+    @pytest.mark.parametrize("kind", ["identity", "spiked", "two_level", "atoms24"])
+    def test_the_kernel_is_symmetric(self, kind):
+        from anisomp.clt_theory import _beta_contraction, _bulk_panels, _support_nodes
+
+        pop = self._pop(kind)
+        rng = np.random.default_rng(6)
+        vi, vj = rng.standard_normal(self.N_DIM), rng.standard_normal(self.N_DIM)
+        vi, vj = vi / np.linalg.norm(vi), vj / np.linalg.norm(vj)
+        x, w, m, mp = _support_nodes(pop.spectrum, _bulk_panels(pop, 440))
+        kern, _ = _beta_grid(pop, vi, vj, x, m, mp)
+        # norm-wise: entries of adjacent nodes divide a cancelling numerator by a small gap
+        assert np.linalg.norm(kern - kern.T) <= 1e-13 * np.linalg.norm(kern)
+        p, q = w * rng.standard_normal(len(x)), w * rng.standard_normal(len(x))
+        pq = _beta_contraction(pop, vi, vj, x, m, mp, p, q)[0]
+        qp = _beta_contraction(pop, vi, vj, x, m, mp, q, p)[0]
+        assert pq == pytest.approx(qp, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "kind, blocks",
+        [("identity", 0.5), ("two_level", 0.5), ("identity", 1), ("spiked", 2), ("atoms24", 3)],
+    )
+    def test_node_counts_at_block_edges(self, kind, blocks):
+        """Fewer nodes than one block, and exact multiples of BLOCK."""
+        from anisomp.clt_theory import BLOCK, _beta_contraction, _bulk_panels, _support_nodes
+
+        pop = self._pop(kind)
+        bulks = _bulk_panels(pop, 64)
+        total = int(blocks * BLOCK)
+        panels = total // (16 * len(bulks))
+        x, w, m, mp = _support_nodes(pop.spectrum, tuple((lo, hi, panels) for lo, hi, _ in bulks))
+        assert len(x) == total and (total < BLOCK or total % BLOCK == 0)
+        rng = np.random.default_rng(7)
+        vi, vj = rng.standard_normal(self.N_DIM), rng.standard_normal(self.N_DIM)
+        vi, vj = vi / np.linalg.norm(vi), vj / np.linalg.norm(vj)
+        p, q = w * rng.standard_normal(len(x)), w * rng.standard_normal(len(x))
+        kern, _ = _beta_grid(pop, vi, vj, x, m, mp)
+        got, _ = _beta_contraction(pop, vi, vj, x, m, mp, p, q)
+        assert got == pytest.approx(float(p @ kern @ q), rel=1e-12)
+
+    def test_kappa_rows_once_per_direction(self, monkeypatch):
+        calls = []
+        phi = a.PopulationModel.phi
+        monkeypatch.setattr(
+            a.PopulationModel, "phi", lambda self, *args: calls.append(args) or phi(self, *args)
+        )
+        pop = self._pop("two_level")
+        v = np.random.default_rng(8).standard_normal(self.N_DIM)
+        v /= np.linalg.norm(v)
+
+        def cov(vi, vj):
+            return a.linear_stat_covariance(
+                "global", self.F, self.G, vi, vj, 0.0, 1.0, pop, K4.constant(1.3), grid_points=400
+            )
+
+        same = cov(v, v)
+        assert len(calls) == 2  # the full and the half-panel nodes
+        copy = cov(v, v.copy())
+        assert len(calls) == 2 + 4
+        assert same == copy
 
     def test_memory_is_linear_in_the_nodes(self):
         import tracemalloc
