@@ -30,8 +30,8 @@ from .experiments import REPRODUCIBLE_NAMES, reproduce
 from .io import read_matrix
 from .matrix_models import SampleEnsemble
 from .mp_law import (
-    OMEGA,
     PopulationSpectrum,
+    _require_boundary_domain,
     as_unit_vector,
     read_spectrum_file,
     solve_m2c_points,
@@ -150,12 +150,11 @@ def cmd_mp_law(args) -> int:
             return EXIT_OK
         if energies is None:
             return _fail("error: provide --grid or --edges-only", EXIT_PARSE)
-        too_low = energies[np.abs(energies) < OMEGA] if args.eta == 0.0 else ()
-        if len(too_low):
-            return _fail(
-                f"placement error: grid point E = {too_low[0]:.12g} has |E| < omega = {OMEGA}",
-                EXIT_PLACEMENT,
-            )
+        if args.eta == 0.0:
+            try:
+                _require_boundary_domain(energies)
+            except ValueError as exc:
+                return _fail(f"placement error: {exc}", EXIT_PLACEMENT)
         # each point is solved on its own, so the rows are those of
         # per-point solve_m2c and density_rho2c calls
         m, _, rho = solve_m2c_points(energies, args.eta, pop)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import OutsideDomain, PositivityViolation
 from .mp_law import (
-    OMEGA,
     TAU,
     PopulationSpectrum,
     _atoms,
@@ -131,6 +130,9 @@ def _m_prime_at(z: complex, pop: Population) -> complex:
     if z.imag < 0:
         return np.conj(m2c_derivative(np.conj(z), pop.spectrum))
     return m2c_derivative(z, pop.spectrum)
+
+
+OMEGA = 1e-2  # the lower end of the paper's spectral domain: an outside E is at least OMEGA
 
 
 def _require_outside(E: float, pop: Population) -> None:
@@ -386,10 +388,12 @@ def linear_stat_covariance(
     integral, double integral of beta(x1, x2)/(x1 - x2), and the diagonal
     density term) by a product Gauss rule on about ``grid_points`` nodes over
     the support bulks.  The integrand of the beta term is bounded, because
-    beta vanishes on the diagonal, so no principal value is needed.  The
-    error estimate is the change of the value when every bulk has half its
-    panels, plus 1e-9 of the value.  ``local`` evaluates the single-scale
-    product formula at E, which is eta-free.
+    beta vanishes on the diagonal, so no principal value is needed.  Only
+    the nodes inside supp f_i U supp f_j enter the sums, so the cost scales
+    with those nodes: the beta term with their square, the other two terms
+    linearly.  The error estimate is the change of the value when every bulk
+    has half its panels, plus 1e-9 of the value.  ``local`` evaluates the
+    single-scale product formula at E, which is eta-free.
     """
     v_i, v_j = as_unit_vector(v_i), as_unit_vector(v_j)
     if mode == "local":
@@ -424,9 +428,17 @@ def _global_covariance(
     bulks: tuple[tuple[float, float, int], ...],
 ) -> float:
     """The three terms of the global covariance by one product rule on the
-    nodes of ``bulks`` (see ``_support_nodes``)."""
+    nodes of ``bulks`` (see ``_support_nodes``).
+
+    Every term carries f_i or f_j at each node, so a node where both vanish
+    adds exactly zero: the terms run on the live nodes only, where f_i or
+    f_j is nonzero, and a function nonzero on every node keeps them all.
+    """
     x, w, m, mp = _support_nodes(pop.spectrum, bulks)
     fi_x, fj_x = f_i(x), f_j(x)
+    live = (fi_x != 0.0) | (fj_x != 0.0)
+    if not live.all():
+        x, w, m, mp, fi_x, fj_x = (arr[live] for arr in (x, w, m, mp, fi_x, fj_x))
 
     # fourth-cumulant term: separable over original coordinates
     term1 = 0.0

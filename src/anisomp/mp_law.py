@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     BranchViolation,
@@ -51,13 +50,12 @@ __all__ = [
 ]
 
 
-# Solver constants.  Boundary evaluations (eta = 0) require |E| >= OMEGA.
-# For a boundary value the eta ladder stops at E + i*ETA0, and Newton then
-# solves at eta = 0 itself (``_solve_panels``).  The damped fixed point (step
+# Solver constants.  For a boundary value (eta = 0, at any real E but 0, see
+# ``_require_boundary_domain``) the eta ladder stops at E + i*ETA0, and Newton
+# then solves at eta = 0 itself (``_solve_panels``).  The damped fixed point (step
 # DAMPING, at most MAX_ITER sweeps) hands over to Newton once a step is below
 # NEWTON_SWITCH relative to max(1, |m|), and a point is converged once
 # |m h(m)| <= RESIDUAL_TOL.
-OMEGA = 1e-2
 ETA0 = 1e-9
 DAMPING = 0.5
 NEWTON_SWITCH = 1e-3
@@ -106,16 +104,6 @@ class PopulationSpectrum:
     @property
     def sigma_max(self) -> float:
         return self.eigenvalues[0]
-
-    def validate(self) -> None:
-        """Enforce the admissibility bounds of margin TAU (raising)."""
-        if self.sigma_max > 1.0 / TAU:
-            raise ValueError("largest eigenvalue exceeds 1/tau")
-        frac_small = sum(1 for v in self.eigenvalues if v <= TAU) / self.n
-        if frac_small > 1.0 - TAU:
-            raise ValueError("spectrum concentrates at zero beyond 1 - tau")
-        if not TAU <= self.aspect_ratio <= 1.0 / TAU:
-            raise ValueError("aspect ratio outside [tau, 1/tau]")
 
 
 @dataclass(frozen=True)
@@ -369,10 +357,10 @@ def solve_m2c_points(
 
     Each point is solved on its own, so its values are those of a one-point
     call.  ``eta == 0`` encodes the boundary limit eta -> 0+ and is solved by
-    ``_solve_boundary`` (every |E| must be at least OMEGA): the exact real
-    root outside the support, the complex root with Im m > 0 inside, each
-    polished by Newton at eta = 0; the density is Im m/pi, exactly 0 off the
-    support.  ``eta > 0`` descends the vectorised eta ladder and checks the
+    ``_solve_boundary`` (at any E but 0, ``_require_boundary_domain``): the
+    exact real root outside the support, the complex root with Im m > 0
+    inside, each polished by Newton at eta = 0; the density is Im m/pi,
+    exactly 0 off the support.  ``eta > 0`` descends the vectorised eta ladder and checks the
     branch; the density is Im m(E + i*eta)/pi.  A negative or non-finite
     eta raises ValueError.
     """
@@ -382,8 +370,6 @@ def solve_m2c_points(
             f"expects a finite eta = Im z >= 0, got {eta!r}; conjugate the result instead"
         )
     if eta == 0.0:
-        if np.any(np.abs(E) < OMEGA):
-            raise ValueError(f"boundary evaluation requires |E| >= omega = {OMEGA}")
         m, res = _solve_boundary(E, pop)
         rho = np.where(support_distance(E, pop) > 0.0, 0.0, np.maximum(m.imag / math.pi, 0.0))
         return m, res, rho
@@ -428,6 +414,15 @@ def solve_m2c_grid(energies: np.ndarray, eta: float, pop: PopulationSpectrum) ->
     return m.ravel()[: flat.size].reshape(E.shape)
 
 
+def _require_boundary_domain(E: np.ndarray) -> None:
+    """The one domain of the boundary value m(E + i0), read by every path
+    to it (``solve_m2c_points``, ``solve_m2c_grid``, ``density_rho2c``, the
+    CLI's grids): every real E except 0, where m has a pole when d < 1 (the
+    atom of the companion law at 0).  Raises ValueError at E = 0."""
+    if np.any(E == 0.0):
+        raise ValueError("the boundary value m(E + i0) is undefined at E = 0")
+
+
 def _solve_panels(energies: np.ndarray, eta: float, pop: PopulationSpectrum) -> np.ndarray:
     """The warm-start march at E + i*eta, eta >= 0, on a (rows, cols) array
     whose rows ascend in E, vectorised across the rows.
@@ -447,7 +442,11 @@ def _solve_panels(energies: np.ndarray, eta: float, pop: PopulationSpectrum) -> 
     d = pop.aspect_ratio
     rung = eta or ETA0
     z = E + 1j * eta
-    off = support_distance(E, pop) > 0.0 if eta == 0.0 else np.zeros(E.shape, dtype=bool)
+    if eta == 0.0:
+        _require_boundary_domain(E)
+        off = support_distance(E, pop) > 0.0
+    else:
+        off = np.zeros(E.shape, dtype=bool)
     m = np.zeros(E.shape, dtype=complex)
     for j in range(E.shape[1]):
         fresh = off[:, j] | (j == 0)
@@ -482,9 +481,9 @@ def _m_prime(m: complex, z: complex, pop: PopulationSpectrum) -> complex:
 
 
 def density_rho2c(E: float, pop: PopulationSpectrum) -> float:
-    """Density of the law at E: Im m(E + i0)/pi, exactly zero off-support."""
-    if E < OMEGA:
-        raise ValueError(f"density requires E >= omega = {OMEGA}")
+    """Density of the law at E: Im m(E + i0)/pi, exactly zero off-support
+    (so at every E < 0).  E = 0 raises ValueError, as m(E + i0) does."""
+    _require_boundary_domain(np.array([E]))
     if support_distance(E, pop) > 0.0:  # no solve: a point a hair off an edge may not converge
         return 0.0
     return float(solve_m2c_points(np.array([E]), 0.0, pop)[2][0])
@@ -512,13 +511,35 @@ def _interval_samples(lo: float, hi: float) -> np.ndarray:
     return lo + width * fracs
 
 
+def _bisect_roots(a: np.ndarray, b: np.ndarray, fn) -> np.ndarray:
+    """Roots of fn in the brackets [a_k, b_k], which hold a sign change of fn
+    (or a root at a_k = b_k) and not 0, by bisection vectorised over the
+    brackets.  Every bracket is halved the same number of times, until the
+    widest is narrower than 1e-12 of its ends' magnitude (about 37 steps from
+    the few-percent brackets of ``support_edges``).  Returns the midpoints."""
+    if a.size == 0:
+        return a
+    widest = np.max((b - a) / (1e-12 * np.minimum(np.abs(a), np.abs(b))))
+    steps = math.ceil(math.log2(max(widest, 1.0)))
+    a, b = a.copy(), b.copy()
+    positive_a = fn(a) > 0.0
+    for _ in range(steps):
+        mid = 0.5 * (a + b)
+        move_a = (fn(mid) > 0.0) == positive_a
+        a[move_a] = mid[move_a]
+        b[~move_a] = mid[~move_a]
+    return 0.5 * (a + b)
+
+
 @lru_cache(maxsize=128)
 def support_edges(pop: PopulationSpectrum) -> tuple[float, ...]:
     """Edges of the support in descending order (no regularity gating):
     critical values of z(m) at real critical points.
 
     Between consecutive poles of z(m) (at m = -1/sigma_a and m = 0) the sign
-    changes of z'(m) are bracketed on geometric grids and refined by brentq.
+    changes of z'(m) are bracketed on geometric grids and refined all at once
+    by bisection (``_bisect_roots``); a grid point where z'(m) is exactly 0 is
+    a critical point itself.
     """
     vals, wts = _atoms(pop)
     d = pop.aspect_ratio
@@ -532,28 +553,22 @@ def support_edges(pop: PopulationSpectrum) -> tuple[float, ...]:
     segments.append(_interval_samples(poles[-1], 0.0))
     segments.append(np.geomspace(1e-9, 1e6, 400))
 
-    crit: list[float] = []
+    lows, highs = [], []
     for grid in segments:
         grid = np.sort(grid)
         with np.errstate(divide="ignore", invalid="ignore"):
             zp = _zprime(grid, d, vals, wts)
         ok = np.isfinite(zp)
         grid, zp = grid[ok], zp[ok]
-        sign_flip = np.nonzero(np.sign(zp[:-1]) * np.sign(zp[1:]) < 0)[0]
-        for i in sign_flip:
-            try:
-                m_star = brentq(
-                    lambda mm: float(_zprime(np.array([mm]), d, vals, wts)[0]),
-                    grid[i],
-                    grid[i + 1],
-                    xtol=1e-14,
-                    rtol=8.9e-16,
-                )
-            except ValueError:
-                continue
-            crit.append(float(_zfun(np.array([m_star]), d, vals, wts)[0]))
-
-    crit = sorted((c for c in crit if c > 0.0), reverse=True)
+        sign = np.sign(zp)
+        sign_flip = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+        zero = np.nonzero(sign == 0.0)[0]
+        lows += [grid[sign_flip], grid[zero]]
+        highs += [grid[sign_flip + 1], grid[zero]]
+    m_star = _bisect_roots(
+        np.concatenate(lows), np.concatenate(highs), lambda mm: _zprime(mm, d, vals, wts)
+    )
+    crit = sorted((float(c) for c in _zfun(m_star, d, vals, wts) if c > 0.0), reverse=True)
     if len(crit) % 2 != 0 or not crit:
         raise EdgeDegeneracy(
             f"edge finder located {len(crit)} critical values; support is degenerate"

@@ -2,6 +2,7 @@
 a contour-integral reference."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -687,3 +688,96 @@ class TestBetaContraction:
         assert len(calls) == 2 * solved
         x, w, m, mp = clt_theory._support_nodes(pop.spectrum, clt_theory._bulk_panels(pop, 400))
         assert not any(arr.flags.writeable for arr in (x, w, m, mp))
+
+
+def _full_node_value(f, g, vi, vj, pop, kappa, bulks):
+    """The global covariance's three terms on every node of ``bulks``."""
+    from anisomp.clt_theory import _beta_contraction, _support_nodes
+
+    x, w, m, mp = _support_nodes(pop.spectrum, bulks)
+    fx, gx = f(x), g(x)
+    term1 = 0.0
+    if not kappa.is_zero:
+        ai = np.imag((m / x)[:, None] * pop.model.phi(m, vi) ** 2).T @ (w * fx)
+        aj = np.imag((m / x)[:, None] * pop.model.phi(m, vj) ** 2).T @ (w * gx)
+        term1 = float(np.sum(kappa.row_weights(pop.n) * ai * aj)) / math.pi**2
+    beta, c0 = _beta_contraction(pop, vi, vj, x, m, mp, w * fx / x, w * gx / x)
+    rho = np.maximum(m.imag, 0.0) / math.pi
+    term3 = 2.0 * float(np.sum(w * fx * gx * rho / x**2 * np.real(c0**2)))
+    return term1 + beta / math.pi**2 + term3
+
+
+class TestLiveNodes:
+    """The global covariance runs on the nodes where f_i or f_j is nonzero."""
+
+    N_DIM, N, POINTS = 24, 48, 400
+    F = a.TestFunction(kind="bump", center=1.0, width=0.5)
+    G = a.TestFunction(kind="bump", center=2.0, width=0.7)
+    P = a.TestFunction(kind="poly_gauss", center=3.0, width=1.0, poly_coeffs=(1.0, 0.5))
+    PAIRS = {"bump/bump": (F, G), "bump/poly_gauss": (F, P), "poly_gauss/poly_gauss": (P, P)}
+
+    def _pop(self, kind, N=None):
+        n = self.N_DIM
+        model = {
+            "identity": lambda: a.PopulationModel.identity(n),
+            "two_level": lambda: a.PopulationModel.from_diagonal(np.where(np.arange(n) < 10, 4.0, 1.0)),
+            "spiked": lambda: a.PopulationModel.spiked(
+                n, (3.0, 1.0), np.linalg.qr(np.random.default_rng(4).standard_normal((n, 2)))[0]
+            ),
+        }[kind]()
+        return a.Population(model, N or self.N)
+
+    @pytest.mark.parametrize("same_v", [True, False], ids=["u=v", "u!=v"])
+    @pytest.mark.parametrize("kappa", [K4.gaussian(), K4.constant(-1.2)], ids=["k0", "k-1.2"])
+    @pytest.mark.parametrize("kind", ["identity", "two_level", "spiked"])
+    @pytest.mark.parametrize("pair", list(PAIRS))
+    def test_matches_every_node(self, pair, kind, kappa, same_v):
+        from anisomp.clt_theory import _bulk_panels
+
+        f, g = self.PAIRS[pair]
+        pop = self._pop(kind)
+        rng = np.random.default_rng(9)
+        vi = rng.standard_normal(self.N_DIM)
+        vi /= np.linalg.norm(vi)
+        vj = vi if same_v else np.full(self.N_DIM, 1.0 / math.sqrt(self.N_DIM))
+        got = a.linear_stat_covariance("global", f, g, vi, vj, 0.0, 1.0, pop, kappa, grid_points=self.POINTS)
+        bulks = _bulk_panels(pop, self.POINTS)
+        want = _full_node_value(f, g, vi, vj, pop, kappa, bulks)
+        coarse = _full_node_value(f, g, vi, vj, pop, kappa, tuple((lo, hi, k // 2) for lo, hi, k in bulks))
+        assert got.value == pytest.approx(want, rel=1e-13)
+        assert abs(got.error_estimate - (abs(want - coarse) + 1e-9 * abs(want))) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("pair", list(PAIRS))
+    def test_contraction_sees_the_live_nodes(self, monkeypatch, pair):
+        from anisomp import clt_theory
+
+        seen = []
+        contract = clt_theory._beta_contraction
+        monkeypatch.setattr(
+            clt_theory, "_beta_contraction", lambda *args: seen.append(args[3]) or contract(*args)
+        )
+        f, g = self.PAIRS[pair]
+        pop = self._pop("two_level")
+        v = np.full(self.N_DIM, 1.0 / math.sqrt(self.N_DIM))
+        a.linear_stat_covariance("global", f, g, v, v, 0.0, 1.0, pop, K4.constant(1.3), grid_points=self.POINTS)
+        bulks = clt_theory._bulk_panels(pop, self.POINTS)
+        assert len(seen) == 2  # the full and the half-panel nodes
+        for x_seen, panels in zip(seen, (bulks, tuple((lo, hi, k // 2) for lo, hi, k in bulks))):
+            x = clt_theory._support_nodes(pop.spectrum, panels)[0]
+            live = (f(x) != 0.0) | (g(x) != 0.0)
+            assert np.array_equal(x_seen, x[live])
+            assert live.all() == ("poly_gauss" in pair)
+
+    def test_functions_off_every_node(self):
+        # one bump in the gap between the two bulks, one beyond the top edge
+        pop = self._pop("two_level", N=240)
+        edges = a.support_edges(pop.spectrum)
+        gap = a.TestFunction(kind="bump", center=2.0, width=0.4)
+        beyond = a.TestFunction(kind="bump", center=7.0, width=0.5)
+        assert len(edges) == 4 and edges[2] < 1.6 and 2.4 < edges[1] and edges[0] < 6.5
+        v = np.full(self.N_DIM, 1.0 / math.sqrt(self.N_DIM))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f, g in ((gap, beyond), (gap, gap), (beyond, beyond)):
+                cov = a.linear_stat_covariance("global", f, g, v, v, 0.0, 1.0, pop, K4.constant(1.3))
+                assert (cov.value, cov.error_estimate) == (0.0, 0.0)

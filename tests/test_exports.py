@@ -1,9 +1,13 @@
 """Every name a module of the package lists in ``__all__`` exists, the
-package's count of options is pinned, and only ``mp_law`` names ``ETA0``."""
+package's count of options is pinned, only ``mp_law`` names ``ETA0``, and
+importing the package leaves ``scipy.optimize`` unloaded."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +61,12 @@ def test_only_mp_law_names_eta0():
                 names.append(path.name)
     assert "mp_law.py" in names
     assert sorted(set(names) - {"mp_law.py"}) == []
+
+
+def test_import_leaves_out_scipy_optimize():
+    # only scipy.special is imported from SciPy
+    src = str(Path(anisomp.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, anisomp; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -65,9 +65,14 @@ class TestSolve:
         with pytest.raises(ValueError):
             a.solve_m2c(1.0 - 1.0j, null_pop_half)
 
-    def test_omega_cutoff(self, null_pop_half):
+    def test_zero_energy_rejected(self, null_pop_half):
+        # m(E + i0) is undefined at E = 0, on every path to it
         with pytest.raises(ValueError):
-            a.solve_m2c(1e-4 + 0.0j, null_pop_half)
+            a.solve_m2c(0j, null_pop_half)
+        with pytest.raises(ValueError):
+            a.solve_m2c_grid(np.array([0.0, 0.5]), 0.0, null_pop_half)
+        with pytest.raises(ValueError):
+            a.density_rho2c(0.0, null_pop_half)
 
     @given(
         E=st.floats(0.05, 6.0),
@@ -173,6 +178,17 @@ class TestBoundaryGrid:
         assert np.any(dist > 0.0) and np.any(dist == 0.0)
         want = mp_law.solve_m2c_points(E, 0.0, pop)[0]
         assert np.max(np.abs(a.solve_m2c_grid(E, 0.0, pop) - want)) < 1e-12
+
+    @pytest.mark.parametrize("d", [0.5, 2.0])
+    def test_one_domain_near_zero(self, d):
+        # the point and grid solves accept the same small E
+        pop = a.PopulationSpectrum.identity(8, d)
+        E = np.array([1e-4, 1e-3, 5e-3])
+        want = np.array([a.null_mp_m2c(e, d) for e in E])
+        scalar = np.array([a.solve_m2c(complex(e), pop).m for e in E])
+        for got in (mp_law.solve_m2c_points(E, 0.0, pop)[0], a.solve_m2c_grid(E, 0.0, pop), scalar):
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-10
+        assert [a.density_rho2c(e, pop) for e in E] == [0.0] * 3
 
     @pytest.mark.parametrize("eta", [-1e-3, math.nan])
     def test_negative_or_nan_eta_raises(self, null_pop_half, eta):
@@ -401,6 +417,80 @@ class TestSupport:
             a.support_structure(pop, 100)
 
 
+def _brentq_edges(pop):
+    """Support edges by brentq on sign changes of z'(m) over dense grids."""
+    from scipy.optimize import brentq
+
+    vals, counts = np.unique(pop.eigenvalues, return_counts=True)
+    w, d = counts / pop.n, pop.aspect_ratio
+
+    def zp(m):
+        return 1.0 / m**2 - d * np.sum(w * vals**2 / (1.0 + np.multiply.outer(m, vals)) ** 2, axis=-1)
+
+    def z(m):
+        return -1.0 / m + d * np.sum(w * vals / (1.0 + m * vals))
+
+    poles = np.sort(-1.0 / vals)
+    frac = np.geomspace(1e-10, 0.5, 1000)
+    frac = np.concatenate([frac, 1.0 - frac[::-1]])
+    grids = [poles[0] - np.geomspace(1e-10, 1e5, 2000)[::-1]]
+    grids += [lo + (hi - lo) * frac for lo, hi in zip(poles, [*poles[1:], 0.0])]
+    grids.append(np.geomspace(1e-10, 1e7, 2000))
+    crit = []
+    for g in grids:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.sign(zp(g))
+        for i in np.nonzero(s[:-1] * s[1:] < 0)[0]:
+            crit.append(z(brentq(zp, g[i], g[i + 1], xtol=1e-300, rtol=8.9e-16)))
+    return sorted((c for c in crit if c > 0.0), reverse=True)
+
+
+class TestEdgeFinder:
+    """``support_edges`` refines its brackets by vectorised bisection."""
+
+    @given(d=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 20.0)))
+    @settings(max_examples=80, deadline=None)
+    def test_identity_closed_form(self, d):
+        edges = a.support_edges(a.PopulationSpectrum.identity(3, d))
+        # (1 - sqrt d)^2 without the cancellation of 1 - sqrt d
+        want = ((1.0 + math.sqrt(d)) ** 2, (1.0 - d) ** 2 / (1.0 + math.sqrt(d)) ** 2)
+        assert max(abs(e - w) / w for e, w in zip(edges, want)) <= 1e-13
+
+    def test_matches_brentq_on_random_spectra(self):
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            atoms = rng.uniform(0.2, 8.0, rng.integers(1, 6))
+            counts = rng.integers(1, 20, atoms.size)
+            d = float(rng.choice([rng.uniform(0.05, 0.95), rng.uniform(1.05, 3.0)]))
+            pop = a.PopulationSpectrum(tuple(np.repeat(atoms, counts)), d)
+            edges, want = a.support_edges(pop), _brentq_edges(pop)
+            assert len(edges) == len(want)
+            assert np.max(np.abs(np.array(edges) - want) / np.array(want)) <= 1e-13
+
+    def test_root_on_a_grid_point(self):
+        # z'(m) is exactly 0 at the bracketing grid point m = -0.625 here
+        d = float(np.nextafter(0.36, 1.0))
+        pop = a.PopulationSpectrum((4.0,) * 2 + (1.0,) * 2, d)
+        assert 0.0 in mp_law._zprime(mp_law._interval_samples(-1.0, -0.25), d, *_atoms(pop))
+        edges = a.support_edges(pop)
+        assert len(edges) == 4 and edges[2] == pytest.approx(1.6, rel=1e-13)
+        beside = a.support_edges(a.PopulationSpectrum(pop.eigenvalues, 0.36))
+        assert np.allclose(edges, beside, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "eigenvalues, d",
+        [((1.0,) * 4, 1.0), ((1.0,) * 4, 0.999999)],  # 0 and 1 critical values
+    )
+    def test_degenerate_supports_raise(self, eigenvalues, d):
+        with pytest.raises(a.EdgeDegeneracy):
+            a.support_edges(a.PopulationSpectrum(eigenvalues, d))
+
+    def test_edges_closer_than_tau_raise(self):
+        pop = a.PopulationSpectrum((4.0,) * 2 + (1.0,) * 2, 0.38)  # a gap of 0.024
+        with pytest.raises(a.EdgeDegeneracy):
+            a.support_structure(pop, 100)
+
+
 class TestRegularity:
     def test_null_all_pass(self, null_pop_half):
         rep = a.regularity_check(null_pop_half, tau=0.01)
@@ -508,6 +598,8 @@ class TestPopulationSpectrum:
             a.PopulationSpectrum((-1.0, 1.0), 0.5)
 
     def test_validate_bounds(self):
-        pop = a.PopulationSpectrum((30.0, 1.0), 0.5)
-        with pytest.raises(ValueError):
-            pop.validate()
+        # the admissibility bounds of margin TAU are regularity_check's flags
+        rep = a.regularity_check(a.PopulationSpectrum((30.0, 1.0), 0.5))
+        assert not rep.sigma_max_ok
+        assert rep.zero_mass_ok and rep.aspect_ratio_ok
+        assert not rep.passed
