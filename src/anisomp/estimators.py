@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DegenerateData, OutsideDomain, ResolventDegenerate
 from .matrix_models import (
@@ -46,11 +46,12 @@ def alpha_from_omega(omega: float) -> float:
     """Quantile alpha with 2(1 - Phi(alpha)) = omega."""
     if not 0.0 < omega < 1.0:
         raise ValueError("omega must lie in (0, 1)")
-    return float(ndtri(1.0 - omega / 2.0))
+    return NormalDist().inv_cdf(1.0 - omega / 2.0)
 
 
 def confidence_from_alpha(alpha: float) -> float:
-    return float(2.0 * ndtr(alpha) - 1.0)
+    """2 Phi(alpha) - 1, the mass of the standard normal on [-alpha, alpha]."""
+    return math.erf(alpha / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,10 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr
 
 from .clt_theory import TestFunction, linear_stat_covariance, resolvent_covariance
 from .errors import BudgetExceeded, DegenerateVariance
@@ -190,6 +188,8 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
 def _map_trials(fn, n_trials: int, workers: int) -> list:
     if workers <= 1:
         return [fn(k) for k in range(n_trials)]
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         chunk = max(1, n_trials // (workers * 4))
         return list(ex.map(fn, range(n_trials), chunksize=chunk))
@@ -220,12 +220,33 @@ def normality_test(samples) -> tuple[float, float]:
     var = float(np.var(x))
     if var <= (1e-12 * (abs(mu) + 1.0)) ** 2:
         raise DegenerateVariance("samples are (numerically) constant")
-    cdf = ndtr((x - mu) / math.sqrt(var))
+    cdf = _normal_cdf((x - mu) / math.sqrt(var))
     k = len(x)
     grid = np.arange(1, k + 1) / k
     d = float(np.max(np.maximum(np.abs(cdf - grid), np.abs(cdf - (grid - 1.0 / k)))))
     stat = math.sqrt(k) * d
-    return stat, float(kolmogorov(stat))
+    return stat, _kolmogorov_sf(stat)
+
+
+def _normal_cdf(t: np.ndarray) -> np.ndarray:
+    """The standard normal CDF Phi, elementwise: erfc(-t/sqrt 2)/2 keeps the
+    lower tail's relative accuracy."""
+    return np.array([0.5 * math.erfc(-ti / math.sqrt(2.0)) for ti in t.tolist()])
+
+
+def _kolmogorov_sf(x: float) -> float:
+    """P(K > x) for Kolmogorov's limit law K of sqrt(n) D_n, from its two
+    classical series (Marsaglia, Tsang and Wang, 2003): below x = 1 the CDF
+    sqrt(2 pi)/x sum_k exp(-(2k - 1)^2 pi^2 / (8 x^2)), from x = 1 on the tail
+    2 sum_k (-1)^(k - 1) exp(-2 k^2 x^2).  Eight terms of either series reach
+    double precision on its side of x = 1."""
+    if x <= 0.0:
+        return 1.0
+    if x < 1.0:
+        q = math.pi**2 / (8.0 * x * x)
+        cdf = math.sqrt(2.0 * math.pi) / x * sum(math.exp(-((2 * k - 1) ** 2) * q) for k in range(1, 9))
+        return 1.0 - cdf
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x) for k in range(1, 9))
 
 
 def _frequency(hits: np.ndarray) -> dict:

@@ -511,24 +511,29 @@ def _interval_samples(lo: float, hi: float) -> np.ndarray:
     return lo + width * fracs
 
 
-def _bisect_roots(a: np.ndarray, b: np.ndarray, fn) -> np.ndarray:
-    """Roots of fn in the brackets [a_k, b_k], which hold a sign change of fn
-    (or a root at a_k = b_k) and not 0, by bisection vectorised over the
-    brackets.  Every bracket is halved the same number of times, until the
-    widest is narrower than 1e-12 of its ends' magnitude (about 37 steps from
-    the few-percent brackets of ``support_edges``).  Returns the midpoints."""
-    if a.size == 0:
-        return a
-    widest = np.max((b - a) / (1e-12 * np.minimum(np.abs(a), np.abs(b))))
-    steps = math.ceil(math.log2(max(widest, 1.0)))
-    a, b = a.copy(), b.copy()
-    positive_a = fn(a) > 0.0
-    for _ in range(steps):
-        mid = 0.5 * (a + b)
-        move_a = (fn(mid) > 0.0) == positive_a
-        a[move_a] = mid[move_a]
-        b[~move_a] = mid[~move_a]
-    return 0.5 * (a + b)
+def _illinois_roots(
+    a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, fn
+) -> np.ndarray:
+    """Roots of fn in the brackets [a_k, b_k], given fa = fn(a) and fb = fn(b)
+    of opposite signs (or a root at a_k = b_k with fb = 0), by the Illinois
+    variant of regula falsi, vectorised over the brackets: each step keeps a
+    sign change between the latest point b and the older point a, and halves
+    fa whenever a is kept again.  A step is clipped to the bracket.  A bracket
+    stops once fn(b) = 0, b stops moving or |b - a| <= 1e-12 |b|, and fn is
+    evaluated at most 12 times in all.  Returns the latest b."""
+    live = (fb != 0.0) & (np.abs(b - a) > 1e-12 * np.abs(b))
+    for _ in range(12):
+        if not live.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.clip(b - fb * (b - a) / (fb - fa), np.minimum(a, b), np.maximum(a, b))
+        c = np.where(live, c, b)
+        fc = fn(c)
+        flip = np.sign(fc) * np.sign(fb) < 0.0  # the root lies between b and c
+        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
+        live &= (c != b) & (fc != 0.0) & (np.abs(c - a) > 1e-12 * np.abs(c))
+        b, fb = c, fc
+    return b
 
 
 @lru_cache(maxsize=128)
@@ -538,8 +543,8 @@ def support_edges(pop: PopulationSpectrum) -> tuple[float, ...]:
 
     Between consecutive poles of z(m) (at m = -1/sigma_a and m = 0) the sign
     changes of z'(m) are bracketed on geometric grids and refined all at once
-    by bisection (``_bisect_roots``); a grid point where z'(m) is exactly 0 is
-    a critical point itself.
+    (``_illinois_roots``); a grid point where z'(m) is exactly 0 is a critical
+    point itself.
     """
     vals, wts = _atoms(pop)
     d = pop.aspect_ratio
@@ -553,7 +558,7 @@ def support_edges(pop: PopulationSpectrum) -> tuple[float, ...]:
     segments.append(_interval_samples(poles[-1], 0.0))
     segments.append(np.geomspace(1e-9, 1e6, 400))
 
-    lows, highs = [], []
+    ends: list[tuple[np.ndarray, ...]] = []  # (a, b, z'(a), z'(b)) per segment
     for grid in segments:
         grid = np.sort(grid)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -563,10 +568,10 @@ def support_edges(pop: PopulationSpectrum) -> tuple[float, ...]:
         sign = np.sign(zp)
         sign_flip = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
         zero = np.nonzero(sign == 0.0)[0]
-        lows += [grid[sign_flip], grid[zero]]
-        highs += [grid[sign_flip + 1], grid[zero]]
-    m_star = _bisect_roots(
-        np.concatenate(lows), np.concatenate(highs), lambda mm: _zprime(mm, d, vals, wts)
+        i_a, i_b = np.concatenate([sign_flip, zero]), np.concatenate([sign_flip + 1, zero])
+        ends.append((grid[i_a], grid[i_b], zp[i_a], zp[i_b]))
+    m_star = _illinois_roots(
+        *(np.concatenate(parts) for parts in zip(*ends)), lambda mm: _zprime(mm, d, vals, wts)
     )
     crit = sorted((float(c) for c in _zfun(m_star, d, vals, wts) if c > 0.0), reverse=True)
     if len(crit) % 2 != 0 or not crit:
@@ -574,7 +579,7 @@ def support_edges(pop: PopulationSpectrum) -> tuple[float, ...]:
             f"edge finder located {len(crit)} critical values; support is degenerate"
         )
     for a, b in zip(crit[:-1], crit[1:]):
-        if a - b < 1e-8:  # below the bisection reliability floor
+        if a - b < 1e-8:  # below the root finder's reliability floor
             raise EdgeDegeneracy(f"edges {a} and {b} coincide within 1e-8")
     return tuple(crit)
 
@@ -641,21 +646,28 @@ def _bulk_mass_panels(
     return t_bounds, cum, integrand @ proj, float(cum[-1])
 
 
+def _series_tail(t_bounds: np.ndarray, coeffs: np.ndarray) -> float:
+    """Error estimate of the mass below any point of a bulk, as read from the
+    panel series.  The integral of P_15 from -1 to any s is at most 2/31 in
+    magnitude, so a neglected tail the size of a panel's last two Legendre
+    coefficients moves the panel's mass by at most half-width * 2/31 * (|c_14|
+    + |c_15|); the estimate sums that over the panels."""
+    return float(np.diff(t_bounds) @ (np.abs(coeffs[:, -1]) + np.abs(coeffs[:, -2]))) / 31.0
+
+
 @lru_cache(maxsize=64)
 def _bulk_quadratures(pop: PopulationSpectrum) -> tuple[_BulkQuadrature, ...]:
+    """One quadrature per bulk, with 128 panels, or twice as many while the
+    mass's error estimate (``_series_tail``) exceeds 1e-9, up to 1024."""
     edges = support_edges(pop)
     out = []
     for k in range(len(edges) // 2):
         hi, lo = edges[2 * k], edges[2 * k + 1]
-        panels = 64
+        panels = 128
         t_b, cum, coeffs, mass = _bulk_mass_panels(pop, lo, hi, panels)
-        while panels < 1024:
-            t_b2, cum2, coeffs2, mass2 = _bulk_mass_panels(pop, lo, hi, panels * 2)
-            if abs(mass2 - mass) <= 1e-9:
-                t_b, cum, coeffs, mass = t_b2, cum2, coeffs2, mass2
-                break
+        while panels < 1024 and _series_tail(t_b, coeffs) > 1e-9:
             panels *= 2
-            t_b, cum, coeffs, mass = t_b2, cum2, coeffs2, mass2
+            t_b, cum, coeffs, mass = _bulk_mass_panels(pop, lo, hi, panels)
         out.append(
             _BulkQuadrature(lo=lo, hi=hi, t_bounds=t_b, cum_mass=cum, coeffs=coeffs, mass=mass)
         )
@@ -690,7 +702,9 @@ def support_structure(pop: PopulationSpectrum, N: int) -> SupportStructure:
     j = 1
     for b in bulks:  # bulks come ordered top-down
         within = (np.arange(j, K + 1) - 0.5) / N - tail_above  # mass in [gamma, b.hi]
-        within = within[: int(np.searchsorted(within, b.mass, side="right"))]
+        # a target equal to the bulk's mass up to roundoff is its lower edge
+        # (a half-integer d N makes the last target the whole bulk)
+        within = within[: int(np.searchsorted(within, b.mass + 1e-12, side="right"))]
         gammas.append(_invert_mass(b, b.mass - within))  # mass in [lo, gamma]
         j += len(within)
         tail_above += b.mass

@@ -28,6 +28,13 @@ class TestAlphaOmega:
             alpha = a.alpha_from_omega(omega)
             assert 1.0 - a.confidence_from_alpha(alpha) == pytest.approx(omega, abs=1e-12)
 
+    @pytest.mark.parametrize("omega", [1e-3, 0.01, 0.05, 0.1, 0.5, 0.9])
+    def test_quantile_matches_scipy(self, omega):
+        from scipy.special import ndtri
+
+        want = float(ndtri(1.0 - omega / 2.0))
+        assert a.alpha_from_omega(omega) == pytest.approx(want, rel=2e-15, abs=0.0)
+
 
 class TestEstimateRecord:
     def test_nan_defaults_are_strict_json(self):

@@ -5,11 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anisomp as a
 from anisomp import clt_theory
 from anisomp.experiments import (
     SphericityCell,
+    _kolmogorov_sf,
+    _normal_cdf,
     run_clt_check,
     run_coverage,
     run_linear_stat_check,
@@ -59,6 +63,24 @@ class TestNormalityTest:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             a.normality_test(np.arange(10.0))
+
+    def test_normal_cdf_matches_scipy(self):
+        from scipy.special import ndtr
+
+        t = np.linspace(-8.0, 8.0, 20001)
+        assert np.max(np.abs(_normal_cdf(t) - ndtr(t))) <= 1e-15
+
+    @given(x=st.floats(0.02, 6.0))
+    @settings(max_examples=300, deadline=None)
+    def test_kolmogorov_sf_matches_scipy(self, x):
+        from scipy.special import kolmogorov
+
+        want = float(kolmogorov(x))
+        assert abs(_kolmogorov_sf(x) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("x", [0.0, -0.5, -np.inf])
+    def test_kolmogorov_sf_is_one_at_and_below_zero(self, x):
+        assert _kolmogorov_sf(x) == 1.0
 
 
 class TestTrialSeeds:

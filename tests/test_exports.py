@@ -1,6 +1,6 @@
 """Every name a module of the package lists in ``__all__`` exists, the
 package's count of options is pinned, only ``mp_law`` names ``ETA0``, and
-importing the package leaves ``scipy.optimize`` unloaded."""
+importing the package and its CLI loads no SciPy and no process pool."""
 
 import ast
 import importlib
@@ -63,10 +63,15 @@ def test_only_mp_law_names_eta0():
     assert sorted(set(names) - {"mp_law.py"}) == []
 
 
-def test_import_leaves_out_scipy_optimize():
-    # only scipy.special is imported from SciPy
+def test_import_loads_no_scipy():
+    # the package's special functions come from math and statistics, and the
+    # process pool is imported only by a run with several workers
     src = str(Path(anisomp.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, anisomp; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    code = (
+        "import sys, anisomp, anisomp.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith('scipy') or m == 'concurrent.futures.process'))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

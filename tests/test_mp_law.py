@@ -309,6 +309,43 @@ class TestDensity:
         assert max(ratios) / min(ratios) < 1.5
 
 
+def _random_spectra(seed=16):
+    """40 spectra of 1 to 5 atoms with |d - 1| >= 0.05."""
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        atoms = rng.uniform(0.2, 8.0, rng.integers(1, 6))
+        counts = rng.integers(1, 20, atoms.size)
+        d = float(rng.choice([rng.uniform(0.05, 0.95), rng.uniform(1.05, 3.0)]))
+        yield a.PopulationSpectrum(tuple(np.repeat(atoms, counts)), d)
+
+
+def _identity_locations(d, N, K):
+    """The first K classical locations of Sigma = I with d < 1, from the
+    closed-form mass of rho2c: with edges lo < hi, mid = (lo + hi)/2 and
+    half = (hi - lo)/2, the mass below x = mid + half sin(theta) is
+    prim(theta) - prim(-pi/2), divided by 2 pi."""
+    from scipy.optimize import brentq
+
+    hi, lo = a.null_mp_edges(d)
+    mid, half, root = 0.5 * (lo + hi), 0.5 * (hi - lo), math.sqrt(lo * hi)
+
+    def prim(theta):
+        return mid * theta + half * math.cos(theta) - 2.0 * root * math.atan(
+            (mid * math.tan(theta / 2.0) + half) / root
+        )
+
+    def mass_below(x):
+        theta = math.asin(min(1.0, max(-1.0, (x - mid) / half)))
+        return (prim(theta) - prim(-math.pi / 2)) / (2.0 * math.pi)
+
+    return np.array(
+        [
+            brentq(lambda x: mass_below(x) - (d - (j - 0.5) / N), lo, hi, xtol=1e-15)
+            for j in range(1, K + 1)
+        ]
+    )
+
+
 class TestSupport:
     def test_null_edges(self, null_pop_half):
         s = a.support_structure(null_pop_half, 100)
@@ -357,32 +394,21 @@ class TestSupport:
             assert above == pytest.approx((j - 0.5) / N, abs=5e-8)
 
     def test_classical_locations_match_closed_form_quantiles(self):
-        # Sigma = I, d = 1/2: with edges lo < hi, mid = (lo + hi)/2 and
-        # half = (hi - lo)/2, the mass of rho2c below x = mid + half sin(theta)
-        # is prim(theta) - prim(-pi/2), divided by 2 pi
-        from scipy.optimize import brentq
-
         d, N = 0.5, 250
-        hi, lo = a.null_mp_edges(d)
-        mid, half, root = 0.5 * (lo + hi), 0.5 * (hi - lo), math.sqrt(lo * hi)
-
-        def prim(theta):
-            return mid * theta + half * math.cos(theta) - 2.0 * root * math.atan(
-                (mid * math.tan(theta / 2.0) + half) / root
-            )
-
-        def mass_below(x):
-            theta = math.asin(min(1.0, max(-1.0, (x - mid) / half)))
-            return (prim(theta) - prim(-math.pi / 2)) / (2.0 * math.pi)
-
         pop = a.PopulationSpectrum.identity(N // 2, d)
         got = np.asarray(a.support_structure(pop, N).classical_locations)
-        want = [
-            brentq(lambda x: mass_below(x) - (d - (j - 0.5) / N), lo, hi, xtol=1e-15)
-            for j in range(1, len(got) + 1)
-        ]
         assert len(got) == N // 2
-        assert np.max(np.abs(got - np.asarray(want))) <= 1e-13
+        assert np.max(np.abs(got - _identity_locations(d, N, len(got)))) <= 1e-13
+
+    def test_half_integer_d_N_ends_at_the_lower_edge(self):
+        # d N = 37.5 rounds to n = 38, and the 38th target (j - 1/2)/N is the
+        # whole bulk mass d
+        d, N = 0.3, 125
+        s = a.support_structure(a.PopulationSpectrum.identity(4, d), N)
+        got = np.asarray(s.classical_locations)
+        assert len(got) == 38
+        assert abs(got[-1] - s.lambda_minus) <= 1e-12
+        assert np.max(np.abs(got[:-1] - _identity_locations(d, N, 37))) <= 1e-13
 
     def test_classical_locations_reuse_the_quadrature(self, monkeypatch):
         calls = []
@@ -403,6 +429,40 @@ class TestSupport:
         s = a.support_structure(pop, 600)
         assert calls == []
         assert len(s.classical_locations) == 120
+
+    def test_one_quadrature_pass_per_identity_bulk(self, monkeypatch):
+        calls = []
+        real = mp_law._bulk_mass_panels
+
+        def counted(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(mp_law, "_bulk_mass_panels", counted)
+        for d in (0.1, 0.5, 2.0):  # uncached, whatever ran before
+            mp_law._bulk_quadratures.__wrapped__(a.PopulationSpectrum.identity(7, d))
+        assert calls == [128, 128, 128]
+
+    def test_panel_counts_match_the_mass_doubling_rule(self):
+        # the rule the error estimate replaced: double from 64 panels until
+        # two successive masses agree within 1e-9, up to 1024
+        def doubling_rule(pop, lo, hi):
+            panels, mass = 64, mp_law._bulk_mass_panels(pop, lo, hi, 64)[3]
+            while panels < 1024:
+                panels *= 2
+                finer = mp_law._bulk_mass_panels(pop, lo, hi, panels)[3]
+                if abs(finer - mass) <= 1e-9:
+                    break
+                mass = finer
+            return panels
+
+        counts, want = [], []
+        for pop in [*_random_spectra(16), *_random_spectra(2024)]:
+            edges = a.support_edges(pop)
+            counts += [len(b.t_bounds) - 1 for b in mp_law._bulk_quadratures(pop)]
+            want += [doubling_rule(pop, lo, hi) for hi, lo in zip(edges[0::2], edges[1::2])]
+        assert counts == want
+        assert {256, 512} < set(counts)  # two bulks of the second set need finer panels
 
     def test_mass_accounting(self):
         for d in (0.3, 0.5, 2.0):
@@ -446,7 +506,7 @@ def _brentq_edges(pop):
 
 
 class TestEdgeFinder:
-    """``support_edges`` refines its brackets by vectorised bisection."""
+    """``support_edges`` refines its brackets by a vectorised Illinois step."""
 
     @given(d=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 20.0)))
     @settings(max_examples=80, deadline=None)
@@ -457,15 +517,25 @@ class TestEdgeFinder:
         assert max(abs(e - w) / w for e, w in zip(edges, want)) <= 1e-13
 
     def test_matches_brentq_on_random_spectra(self):
-        rng = np.random.default_rng(16)
-        for _ in range(40):
-            atoms = rng.uniform(0.2, 8.0, rng.integers(1, 6))
-            counts = rng.integers(1, 20, atoms.size)
-            d = float(rng.choice([rng.uniform(0.05, 0.95), rng.uniform(1.05, 3.0)]))
-            pop = a.PopulationSpectrum(tuple(np.repeat(atoms, counts)), d)
+        for pop in _random_spectra():
             edges, want = a.support_edges(pop), _brentq_edges(pop)
             assert len(edges) == len(want)
             assert np.max(np.abs(np.array(edges) - want) / np.array(want)) <= 1e-13
+
+    def test_illinois_roots_in_twelve_evaluations(self):
+        # wide and narrow brackets in either orientation, and a root that is
+        # a bracket end (a = b, f(b) = 0), solved together
+        a_ = np.array([0.1, 1.0, 1.9, 2.0, 5.0, 3.0])
+        b_ = np.array([5.0, 3.0, 2.05, 2.0, 0.5, 1.5])
+        calls = []
+
+        def fn(x):
+            calls.append(x.size)
+            return x**3 - 8.0
+
+        roots = mp_law._illinois_roots(a_, b_, a_**3 - 8.0, b_**3 - 8.0, fn)
+        assert len(calls) <= 12
+        assert np.max(np.abs(roots - 2.0)) <= 2e-12
 
     def test_root_on_a_grid_point(self):
         # z'(m) is exactly 0 at the bracketing grid point m = -0.625 here
