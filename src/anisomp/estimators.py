@@ -160,7 +160,10 @@ def estimate_population_eigenvalue(
     kappa_mode: str = "gaussian",
     min_gap: float = 0.1,
 ) -> EstimateWithInterval:
-    """Same inversion with the plug-in Stieltjes estimates, for general Sigma."""
+    """Same inversion with the plug-in Stieltjes estimates, for general Sigma.
+
+    lambda_1 and the plug-in estimates read the eigenvalues alone (one
+    ``eigvalsh``), and R_vv(E) comes from the Cholesky factor: no ``eigh``."""
     v = as_unit_vector(v)
     if E <= ens.lambda_1 + min_gap:
         raise OutsideDomain(f"E = {E} not above lambda_1 + {min_gap} = {ens.lambda_1 + min_gap}")
@@ -181,7 +184,7 @@ def _invert_resolvent(
     """The estimate both estimators share: invert R_vv(E) ~ -E^{-1}/(1 + m sigma)
     for sigma, given m(E) and m'(E) from the estimator's Stieltjes source.
     E must lie above the sample spectrum; a Cholesky factor of E - Q1, which
-    the resolvent reuses, shows that without reading lambda_1 (an ``eigh``)."""
+    the resolvent reuses, shows that without reading lambda_1."""
     r = float(np.real(resolvent_bilinear(ens, v, v, E)))
     if abs(r) < 1e-12:
         raise ResolventDegenerate("R_vv(E) vanished; cannot invert")

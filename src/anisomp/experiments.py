@@ -3,6 +3,7 @@
 Every runner draws per-trial RNG streams keyed by (master_seed, trial_index),
 so results are bit-reproducible regardless of the worker count, and every
 predicted value in a report names the theory operation that produced it.
+The trials of one runner call draw into one ``DrawBuffer`` per process.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .clt_theory import TestFunction, linear_stat_covariance, resolvent_covariance
 from .errors import BudgetExceeded, DegenerateVariance
 from .estimators import estimate_population_eigenvalue, estimate_spike_strength, sphericity_test
-from .matrix_models import _y_m_at, sample_ensemble, y_statistic, z_statistic
+from .matrix_models import DrawBuffer, _y_m_at, y_statistic, z_statistic
 from .mp_law import support_structure
 from .populations import EntryDistribution, Population, PopulationModel
 
@@ -112,13 +113,6 @@ class ExperimentReport:
     wall_clock: float = 0.0
     raw: dict = field(default_factory=dict)
 
-    def reconcile_counts(self) -> bool:
-        for rec in self.frequencies.values():
-            count = rec["frequency"] * rec["trials"]
-            if abs(count - round(count)) > 1e-9:
-                return False
-        return True
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -186,13 +180,30 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
 
 
 def _map_trials(fn, n_trials: int, workers: int) -> list:
+    """[fn(k, draws) for k < n_trials], where draws is the ``DrawBuffer`` of
+    the process running trial k.  A serial run makes one for the call; each
+    worker of a pooled run makes its own when it starts, so no buffer is
+    pickled, and the workers and their buffers end with the call."""
     if workers <= 1:
-        return [fn(k) for k in range(n_trials)]
+        draws = DrawBuffer()
+        return [fn(k, draws) for k in range(n_trials)]
     from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
 
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker) as ex:
         chunk = max(1, n_trials // (workers * 4))
-        return list(ex.map(fn, range(n_trials), chunksize=chunk))
+        return list(ex.map(partial(_worker_trial, fn), range(n_trials), chunksize=chunk))
+
+
+_worker_draws: DrawBuffer | None = None  # set in each pool worker by _start_worker
+
+
+def _start_worker() -> None:
+    global _worker_draws
+    _worker_draws = DrawBuffer()
+
+
+def _worker_trial(fn, k: int):
+    return fn(k, _worker_draws)
 
 
 def _check_budget(cfg: ExperimentConfig) -> None:
@@ -271,8 +282,8 @@ def _moment_summary(samples: np.ndarray) -> dict:
 # CLT for the resolvent process
 
 
-def _clt_trial(k: int, cfg: ExperimentConfig, ms: tuple) -> dict:
-    ens = sample_ensemble(cfg.model, cfg.N, cfg.distribution, trial_seed(cfg.master_seed, k))
+def _clt_trial(k: int, draws: DrawBuffer, cfg: ExperimentConfig, ms: tuple) -> dict:
+    ens = draws.ensemble(cfg.model, cfg.N, cfg.distribution, trial_seed(cfg.master_seed, k))
     out = {}
     if cfg.mode == "outside":
         for label, v in cfg.vectors:
@@ -370,8 +381,8 @@ def run_clt_check(cfg: ExperimentConfig) -> ExperimentReport:
 # CLT for linear eigenvector statistics
 
 
-def _linear_trial(k: int, cfg: ExperimentConfig, eta: float, E: float) -> dict:
-    ens = sample_ensemble(cfg.model, cfg.N, cfg.distribution, trial_seed(cfg.master_seed, k))
+def _linear_trial(k: int, draws: DrawBuffer, cfg: ExperimentConfig, eta: float, E: float) -> dict:
+    ens = draws.ensemble(cfg.model, cfg.N, cfg.distribution, trial_seed(cfg.master_seed, k))
     out = {}
     for vl, v in cfg.vectors:
         for fi, f in enumerate(cfg.functions):
@@ -419,7 +430,7 @@ def run_linear_stat_check(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _coverage_trial(
-    k: int, cfg: ExperimentConfig, sigma: float, method: str, kappa_mode: str
+    k: int, draws: DrawBuffer, cfg: ExperimentConfig, sigma: float, method: str, kappa_mode: str
 ) -> dict:
     n = cfg.n
     if method == "population":
@@ -427,7 +438,7 @@ def _coverage_trial(
         model = PopulationModel.from_diagonal(base)
     else:
         model = PopulationModel.spiked(n, (sigma - 1.0,))
-    ens = sample_ensemble(model, cfg.N, cfg.distribution, trial_seed(cfg.master_seed, k))
+    ens = draws.ensemble(model, cfg.N, cfg.distribution, trial_seed(cfg.master_seed, k))
     e1 = np.zeros(n)
     e1[0] = 1.0
     if method == "population":
@@ -507,17 +518,17 @@ def spike_direction(n: int, x: float) -> np.ndarray:
     return v
 
 
-def _sphericity_trial(k: int, cfg: ExperimentConfig, cell: SphericityCell) -> dict:
+def _sphericity_trial(
+    k: int, draws: DrawBuffer, cfg: ExperimentConfig, cell: SphericityCell
+) -> dict:
     n = cfg.n
     if cell.a == 0.0:
         model = PopulationModel.identity(n)
     else:
         model = PopulationModel.spiked(n, (cell.a,), spike_direction(n, cell.x)[:, None])
-    rng = np.random.default_rng(trial_seed(cfg.master_seed, k))
-    X = cfg.distribution.sample(rng, (n, cfg.N)) / math.sqrt(cfg.N)
-    raw = model.sqrt_apply(X)
+    ens = draws.ensemble(model, cfg.N, cfg.distribution, trial_seed(cfg.master_seed, k))
     u, v = _pair_vectors(cell.pair, n)
-    verdict = sphericity_test(raw, u, v, E_margin=cfg.e_margin, omega=cfg.omega)
+    verdict = sphericity_test(ens.sqrt_X, u, v, E_margin=cfg.e_margin, omega=cfg.omega)
     miss = (not verdict.reject) if cell.a != 0.0 else verdict.reject
     return {"reject": verdict.reject, "miss": miss}
 
@@ -551,10 +562,10 @@ def run_sphericity_frequencies(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _rigidity_trial(
-    k: int, cfg: ExperimentConfig, N: int, d: float, gammas: np.ndarray
+    k: int, draws: DrawBuffer, cfg: ExperimentConfig, N: int, d: float, gammas: np.ndarray
 ) -> dict:
     model = PopulationModel.identity(int(round(d * N)))
-    ens = sample_ensemble(model, N, cfg.distribution, trial_seed(cfg.master_seed, 1000 * N + k))
+    ens = draws.ensemble(model, N, cfg.distribution, trial_seed(cfg.master_seed, 1000 * N + k))
     K = len(gammas)  # min(n, N)
     dev = np.abs(ens.eigenvalues[:K] - gammas)
     lo, hi = K // 4, 3 * K // 4

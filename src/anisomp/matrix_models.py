@@ -5,9 +5,13 @@ One ``SampleEnsemble`` is a single draw: the data matrix B = Sigma^{1/2} X
 each statistic asks for what it reads, and that is computed once and kept.
 A resolvent u^T (Q1 - E)^{-1} v at a real E above the spectrum of
 Q1 = B B^T comes from one Cholesky factor of E - Q1, shared by every
-direction at that E.  Everything else (complex points, eigenvector laws,
-plug-in Stieltjes transforms, linear statistics) is a spectral sum over the
+direction at that E.  Reads of the eigenvalues alone (lambda_1, plug-in
+Stieltjes transforms) take one ``eigvalsh``; everything else (complex
+points, eigenvector laws, linear statistics) is a spectral sum over the
 eigenpairs of Q1, from one ``eigh`` on first use.
+
+A run of Monte-Carlo trials draws through one ``DrawBuffer``: every draw
+overwrites the same n x N array, so no trial maps fresh memory for its data.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .populations import (
     FourthCumulantProfile,
     Population,
     PopulationModel,
+    _row_blocks,
 )
 
 __all__ = [
@@ -48,15 +53,16 @@ NEAR_FACTOR = 100.0
 class SampleEnsemble:
     """One realization: the data matrix and what its statistics have asked of it.
 
-    ``sqrt_X`` is B = Sigma^{1/2} X.  ``eigenvalues`` (descending) and
-    ``eigenvectors`` (columns matching them) are computed by one ``eigh`` of
-    Q1 = B B^T on first access; eigenvalues below eigensolver roundoff are
-    clamped to exact zero, so lambda_k = 0 for k > min(n, N).  Eigenpairs
-    passed in as arguments, or already computed, are used as they are and
-    never recomputed.  ``None`` for both means "decompose when asked".
-    Until then, a resolvent at a real point above the spectrum comes from a
-    Cholesky factor of E - Q1 (see ``resolvent_bilinear``), cached for the
-    last such E.
+    ``sqrt_X`` is B = Sigma^{1/2} X.  ``eigenvalues`` (descending) come from
+    one ``eigvalsh`` of Q1 = B B^T when they are read before any eigenvector;
+    ``eigenvectors`` (columns matching the eigenvalues) come from one ``eigh``
+    on first access, which also supplies the eigenvalues if none are known.
+    Eigenvalues below eigensolver roundoff are clamped to exact zero, so
+    lambda_k = 0 for k > min(n, N).  Eigenpairs passed in as arguments, or
+    already computed, are used as they are and never recomputed.  ``None``
+    for both means "decompose when asked".  Until then, a resolvent at a
+    real point above the spectrum comes from a Cholesky factor of E - Q1
+    (see ``resolvent_bilinear``), cached for the last such E.
     """
 
     def __init__(
@@ -102,7 +108,8 @@ class SampleEnsemble:
     @property
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
-            self._decompose()
+            B = self.sqrt_X
+            self._eigenvalues = _descending(_eigen(np.linalg.eigvalsh, B @ B.T), B.shape)
         return self._eigenvalues
 
     @property
@@ -114,16 +121,9 @@ class SampleEnsemble:
     def _decompose(self) -> None:
         """Eigendecompose Q1 and fill in whichever of the eigenpairs is missing."""
         B = self.sqrt_X
-        n, N = B.shape
-        try:
-            lam, vec = np.linalg.eigh(B @ B.T)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise EigenFailure(str(exc)) from exc
-        lam = lam[::-1].copy()
-        lam[lam < 0.0] = 0.0
-        lam[min(n, N) :] = 0.0
+        lam, vec = _eigen(np.linalg.eigh, B @ B.T)
         if self._eigenvalues is None:
-            self._eigenvalues = lam
+            self._eigenvalues = _descending(lam, B.shape)
         if self._eigenvectors is None:
             self._eigenvectors = vec[:, ::-1].copy()
         self._factor = None  # the eigenpairs answer every later call
@@ -169,20 +169,59 @@ class SampleEnsemble:
         return lam.copy()
 
 
+def _eigen(solver, Q1: np.ndarray):
+    """``solver(Q1)`` (``eigh`` or ``eigvalsh``), a LAPACK failure raised as
+    ``EigenFailure``."""
+    try:
+        return solver(Q1)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise EigenFailure(str(exc)) from exc
+
+
+def _descending(lam: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Ascending eigenvalues of Q1 for an n x N data matrix, reversed, with
+    negatives and the min(n, N)-th on set to exact zero."""
+    lam = lam[::-1].copy()
+    lam[lam < 0.0] = 0.0
+    lam[min(shape) :] = 0.0
+    return lam
+
+
+class DrawBuffer:
+    """One n x N array that successive draws overwrite.
+
+    ``ensemble`` is ``sample_ensemble`` writing into the kept array, so a run
+    of trials reuses the same pages.  Each call overwrites the data of the
+    ensemble the previous call returned, so a trial must be done with its
+    ensemble before the next draw.  The array is made on the first call and
+    again only when the shape changes.
+    """
+
+    def __init__(self) -> None:
+        self._data: np.ndarray | None = None
+
+    def ensemble(
+        self, model: PopulationModel, N: int, dist: EntryDistribution, seed: int
+    ) -> SampleEnsemble:
+        n = model.n
+        if n > MAX_DESK_N:
+            raise ValueError(f"n = {n} exceeds the desk-scale bound {MAX_DESK_N}")
+        if self._data is None or self._data.shape != (n, N):
+            self._data = np.empty((n, N))
+        X = dist.sample(np.random.default_rng(seed), self._data)
+        X /= np.sqrt(N)
+        return SampleEnsemble.from_data(model, model.sqrt_apply(X), dist, seed)
+
+
 def sample_ensemble(
     model: PopulationModel,
     N: int,
     dist: EntryDistribution,
     seed: int,
 ) -> SampleEnsemble:
-    """Draw X and wrap Sigma^{1/2} X (``SampleEnsemble.from_data``),
-    deterministically in seed; n may not exceed MAX_DESK_N."""
-    n = model.n
-    if n > MAX_DESK_N:
-        raise ValueError(f"n = {n} exceeds the desk-scale bound {MAX_DESK_N}")
-    rng = np.random.default_rng(seed)
-    X = dist.sample(rng, (n, N)) / np.sqrt(N)
-    return SampleEnsemble.from_data(model, model.sqrt_apply(X), dist, seed)
+    """Draw X and wrap Sigma^{1/2} X (``SampleEnsemble.from_data``) in a fresh
+    array, deterministically in seed; n may not exceed MAX_DESK_N."""
+    return DrawBuffer().ensemble(model, N, dist, seed)
 
 
 def vesd_eval(ens: SampleEnsemble, u: np.ndarray, x: float) -> float:
@@ -212,12 +251,13 @@ def resolvent_bilinear(
             # R_vv needs one solve: with u is v, y[:, 0] and y[:, -1] are one column
             y = _lower_solve(L, u[:, None] if u is v else np.column_stack([u, v]))
             return complex(-float(y[:, 0] @ y[:, -1]))
+    # projections first: the eigenvalues of the sum come from the same eigh
+    pu = ens.projections(u)
+    pv = ens.projections(v)
     if z.imag == 0.0:
         gap = float(np.min(np.abs(ens.eigenvalues - z.real)))
         if gap < REAL_GAP:
             raise NearSingular(f"real z = {z.real} within 1e-8 of the spectrum")
-    pu = ens.projections(u)
-    pv = ens.projections(v)
     val = complex(np.sum(pu * pv / (ens.eigenvalues - z)))
     return val.real + 0.0j if z.imag == 0.0 else val
 
@@ -414,6 +454,10 @@ def kappa4_hat(ens: SampleEnsemble, mode: str = "pooled") -> FourthCumulantProfi
 
 
 def _row_kappa4(A: np.ndarray, sigma_sq: float) -> np.ndarray:
-    """kappa(i) = N sum_j W_ij^4 - 3 for W = A / sigma, without forming W."""
-    A2 = A * A
-    return A.shape[1] * np.einsum("ij,ij->i", A2, A2) / sigma_sq**2 - 3.0
+    """kappa(i) = N sum_j W_ij^4 - 3 for W = A / sigma, without forming W;
+    A * A is formed one row block at a time."""
+    sums = np.empty(len(A))
+    for rows in _row_blocks(A):
+        A2 = A[rows] * A[rows]
+        sums[rows] = np.einsum("ij,ij->i", A2, A2)
+    return A.shape[1] * sums / sigma_sq**2 - 3.0

@@ -506,8 +506,8 @@ def _zprime(m: np.ndarray, d: float, vals: np.ndarray, wts: np.ndarray) -> np.nd
 def _interval_samples(lo: float, hi: float) -> np.ndarray:
     """Geometric clustering toward both endpoints of a bounded interval."""
     width = hi - lo
-    rel = np.geomspace(1e-9, 0.5, 200)
-    fracs = np.unique(np.concatenate([rel, 1.0 - rel]))
+    rel = np.geomspace(1e-9, 0.5, 200)  # ascending, ends at exactly 0.5
+    fracs = np.concatenate([rel, 1.0 - rel[-2::-1]])
     return lo + width * fracs
 
 

@@ -16,6 +16,10 @@ import numpy as np
 
 from .mp_law import PopulationSpectrum, _tie_starts
 
+# entries per row block of the in-place sampling steps: 64 KiB of float64,
+# half of glibc's default threshold for serving an allocation by mmap
+BLOCK_ENTRIES = 8192
+
 __all__ = [
     "FourthCumulantProfile",
     "PopulationModel",
@@ -260,19 +264,33 @@ class PopulationModel:
     # -- sampling support ----------------------------------------------------
 
     def sqrt_apply(self, X: np.ndarray) -> np.ndarray:
-        """Sigma^{1/2} X without materializing Sigma^{1/2} when avoidable."""
+        """Sigma^{1/2} X.  The identity, diagonal and spiked kinds overwrite X
+        and return it; a general Sigma returns a new array.  The spike update
+        runs in row blocks, so no second n x N array is made."""
         if self.kind == "identity":
             return X
         if self.kind == "diagonal":
-            return np.sqrt(self.diagonal)[:, None] * X
+            X *= np.sqrt(self.diagonal)[:, None]
+            return X
         if self.kind == "spiked":
             V = self.spike_vectors
             scale = np.sqrt(1.0 + np.asarray(self.spike_strengths)) - 1.0
-            return X + V @ (scale[:, None] * (V.T @ X))
+            C = scale[:, None] * (V.T @ X)
+            for rows in _row_blocks(X):
+                X[rows] += V[rows] @ C
+            return X
         if self._sqrt_cache is None:
             vals, U = self._eig()
             self._sqrt_cache = (U * np.sqrt(vals)) @ U.T
         return self._sqrt_cache @ X
+
+
+def _row_blocks(A: np.ndarray) -> list[slice]:
+    """Slices of consecutive rows of A, each block about ``BLOCK_ENTRIES``
+    entries, so a temporary the size of one block stays in reused heap
+    memory instead of being mapped afresh."""
+    step = max(1, BLOCK_ENTRIES // max(A.shape[1], 1))
+    return [slice(s, s + step) for s in range(0, A.shape[0], step)]
 
 
 @dataclass(eq=False)
@@ -317,9 +335,18 @@ class EntryDistribution:
     def rademacher(cls) -> "EntryDistribution":
         return cls("rademacher", FourthCumulantProfile.rademacher())
 
-    def sample(self, rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill the float64 array ``out`` in place with i.i.d. entries and
+        return it.  The stream is that of one ``standard_normal`` or
+        ``integers(0, 2)`` draw of out's shape; the Rademacher integers are
+        drawn a row block at a time, which reads the same stream."""
         if self.kind == "gaussian":
-            return rng.standard_normal(shape)
+            return rng.standard_normal(out=out)
         if self.kind == "rademacher":
-            return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+            for rows in _row_blocks(out):
+                block = out[rows]
+                block[...] = rng.integers(0, 2, size=block.shape)
+                block *= 2.0
+                block -= 1.0
+            return out
         raise ValueError(f"unknown entry distribution {self.kind!r}")

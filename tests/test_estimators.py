@@ -136,10 +136,10 @@ class TestSpikeEstimator:
         ens = _spiked_ensemble(seed=3)
         est = a.estimate_spike_strength(ens, _e(300), 4.0, kappa_mode=kappa_mode)
         assert calls == []
-        lam = ens.eigenvalues
+        vec = ens.eigenvectors
         assert len(calls) == 1
         v = _e(300)
-        want = float(np.sum((ens.eigenvectors.T @ v) ** 2 / (lam - 4.0)))
+        want = float(np.sum((vec.T @ v) ** 2 / (ens.eigenvalues - 4.0)))
         assert est.resolvent == pytest.approx(want, rel=1e-12)
 
 
@@ -154,6 +154,24 @@ class TestPopulationEstimator:
         jac = abs(1.0 / spike.m2c) * (1.0 / (4.0 * spike.resolvent**2)) / 4.0
         tol = 10.0 / ens.N * (jac + abs(spike.point / spike.m2c)) * 3.0
         assert abs(spike.point - popest.point) <= tol
+
+    def test_eigenvalues_only(self, monkeypatch):
+        # lambda_1 and the plug-in estimates need the eigenvalues alone, and
+        # R_vv(E) above the spectrum comes from the Cholesky factor
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            fn = getattr(np.linalg, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        ens = _spiked_ensemble(seed=5)
+        est = a.estimate_population_eigenvalue(ens, _e(300), 4.0, kappa_mode="gaussian")
+        assert calls == {"eigh": 0, "eigvalsh": 1}
+        want = float(np.sum((ens.eigenvectors.T @ _e(300)) ** 2 / (ens.eigenvalues - 4.0)))
+        assert est.resolvent == pytest.approx(want, rel=1e-12)
 
     def test_domain_guard_uses_sample_edge(self):
         ens = _spiked_ensemble(seed=6)
@@ -180,7 +198,7 @@ class TestSphericity:
     def _data(self, n=200, N=400, a_spike=0.0, x=0.2, seed=0, dist=None):
         dist = dist or a.EntryDistribution.gaussian()
         rng = np.random.default_rng(seed)
-        X = dist.sample(rng, (n, N)) / math.sqrt(N)
+        X = dist.sample(rng, np.empty((n, N))) / math.sqrt(N)
         if a_spike == 0.0:
             return X
         from anisomp.experiments import spike_direction

@@ -14,6 +14,7 @@ from anisomp.experiments import (
     SphericityCell,
     _kolmogorov_sf,
     _normal_cdf,
+    _pair_vectors,
     run_clt_check,
     run_coverage,
     run_linear_stat_check,
@@ -106,6 +107,20 @@ class TestRunCltCheck:
         r2 = run_clt_check(_clt_cfg(workers=2))
         assert r1.stats["e1"]["mean"] == r2.stats["e1"]["mean"]
         assert r1.raw["e1"] == r2.raw["e1"]
+
+    @pytest.mark.parametrize(
+        "dist", [a.EntryDistribution.gaussian(), a.EntryDistribution.rademacher()], ids=lambda d: d.kind
+    )
+    def test_trials_are_fresh_draws(self, dist):
+        # the runner's shared buffer gives each trial what a fresh
+        # sample_ensemble of its seed gives, bit for bit
+        cfg = _clt_cfg(trials=30, model=a.PopulationModel.spiked(60, (0.5, 1.0)), distribution=dist)
+        rep = run_clt_check(cfg)
+        for k in range(cfg.trial_count):
+            ens = a.sample_ensemble(cfg.model, cfg.N, dist, trial_seed(cfg.master_seed, k))
+            for label, v in cfg.vectors:
+                y = a.y_statistic(ens, v, cfg.E, 0.0, 1.0j)
+                assert rep.raw[label][k] == y.real
 
     def test_local_same_side_zero_within_noise(self):
         cfg = _clt_cfg(mode="local", E=1.0, eta=0.2, w_points=(1j, 0.5 + 1j), trials=60)
@@ -207,7 +222,23 @@ class TestRunCoverage:
         assert rec["trials"] == 40
         assert rec["count"] == round(rec["frequency"] * rec["trials"])
         assert rec["frequency"] >= 0.7
-        assert rep.reconcile_counts()
+
+    @pytest.mark.parametrize("mode", ["spike", "population"])
+    def test_reproducible_across_worker_counts(self, mode):
+        cfg = dict(
+            name="cov",
+            model=a.PopulationModel.identity(60),
+            distribution=a.EntryDistribution.rademacher(),
+            N=120,
+            trial_count=30,
+            master_seed=4,
+            mode=mode,
+            E=6.0,
+            sigma_grid=(1.3, 1.5),
+        )
+        r1 = run_coverage(a.ExperimentConfig(**cfg, workers=1))
+        r2 = run_coverage(a.ExperimentConfig(**cfg, workers=2))
+        assert r1.raw == r2.raw and r1.stats == r2.stats and r1.frequencies == r2.frequencies
 
 
 class TestRunSphericity:
@@ -228,11 +259,51 @@ class TestRunSphericity:
         rep = run_sphericity_frequencies(cfg)
         assert rep.frequencies["e1,e|x=0.5"]["frequency"] <= 0.2
         assert rep.frequencies["null"]["frequency"] <= 0.2  # type-I errors
-        assert rep.reconcile_counts()
         paths = rep.write(tmp_path)
         data = json.loads((tmp_path / f"sph_5.json").read_text())
         assert data["name"] == "sph"
         assert (tmp_path / "sph_5_cells.csv").exists()
+
+    @staticmethod
+    def _cfg(**kw):
+        n = 60
+        return a.ExperimentConfig(
+            name="sph",
+            model=a.PopulationModel.identity(n),
+            distribution=a.EntryDistribution.gaussian(),
+            N=120,
+            trial_count=30,
+            master_seed=12,
+            cells=(
+                SphericityCell(label="e1,e2|x=0.5", pair="e1,e2", x=0.5, a=1.0),
+                SphericityCell(label="null", pair="e1,e", x=0.0, a=0.0),
+            ),
+            **kw,
+        )
+
+    def test_reproducible_across_worker_counts(self):
+        r1 = run_sphericity_frequencies(self._cfg(workers=1))
+        r2 = run_sphericity_frequencies(self._cfg(workers=2))
+        assert r1.raw == r2.raw and r1.frequencies == r2.frequencies
+
+    def test_trials_are_fresh_draws(self):
+        # each trial tests the matrix a fresh sample_ensemble of its seed draws
+        cfg = self._cfg()
+        rep = run_sphericity_frequencies(cfg)
+        n = cfg.n
+        for cell in cfg.cells:
+            model = (
+                a.PopulationModel.spiked(n, (cell.a,), spike_direction(n, cell.x)[:, None])
+                if cell.a
+                else a.PopulationModel.identity(n)
+            )
+            u, v = _pair_vectors(cell.pair, n)
+            for k in range(cfg.trial_count):
+                seed = trial_seed(cfg.master_seed, k)
+                ens = a.sample_ensemble(model, cfg.N, cfg.distribution, seed)
+                verdict = a.sphericity_test(ens.sqrt_X, u, v, cfg.e_margin, cfg.omega)
+                miss = verdict.reject if cell.a == 0.0 else not verdict.reject
+                assert rep.raw[f"miss[{cell.label}]"][k] == int(miss)
 
     def test_pm_cell_report_is_strict_json(self):
         n = 80

@@ -1,6 +1,7 @@
 """Every name a module of the package lists in ``__all__`` exists, the
 package's count of options is pinned, only ``mp_law`` names ``ETA0``, and
-importing the package and its CLI loads no SciPy and no process pool."""
+importing the package and its CLI loads no SciPy and no process pool (nor,
+with a first ``support_edges`` call, ``numpy.ma``)."""
 
 import ast
 import importlib
@@ -65,13 +66,15 @@ def test_only_mp_law_names_eta0():
 
 def test_import_loads_no_scipy():
     # the package's special functions come from math and statistics, and the
-    # process pool is imported only by a run with several workers
+    # process pool is imported only by a run with several workers; a first
+    # support_edges call does not load numpy.ma (np.unique would)
     src = str(Path(anisomp.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, anisomp, anisomp.cli; "
+        "anisomp.support_edges(anisomp.PopulationSpectrum((1.0, 3.0), 0.5)); "
         "print(sorted(m for m in sys.modules "
-        "if m.startswith('scipy') or m == 'concurrent.futures.process'))"
+        "if m.startswith('scipy') or m in ('concurrent.futures.process', 'numpy.ma')))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

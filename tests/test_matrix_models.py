@@ -94,6 +94,91 @@ class TestVESD:
         assert a.vesd_eval(ens, u, ens.lambda_1) == pytest.approx(1.0, abs=1e-10)
 
 
+def _models(n):
+    q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, 2)))
+    return {
+        "identity": a.PopulationModel.identity(n),
+        "diagonal": a.PopulationModel.from_diagonal(np.linspace(0.5, 2.0, n)),
+        "spiked": a.PopulationModel.spiked(n, (0.5,)),
+        "two spikes": a.PopulationModel.spiked(n, (0.5, 1.5), q),
+        "general": a.PopulationModel.general(np.eye(n) + 0.5 * q @ q.T),
+    }
+
+
+DISTS = [a.EntryDistribution.gaussian(), a.EntryDistribution.rademacher()]
+
+
+class TestInPlaceDraws:
+    def test_sample_ensemble_returns_fresh_arrays(self):
+        model = a.PopulationModel.spiked(30, (0.5,))
+        e1 = a.sample_ensemble(model, 50, a.EntryDistribution.gaussian(), 1)
+        e2 = a.sample_ensemble(model, 50, a.EntryDistribution.gaussian(), 1)
+        e3 = a.sample_ensemble(model, 50, a.EntryDistribution.gaussian(), 2)
+        assert not np.shares_memory(e1.sqrt_X, e2.sqrt_X)
+        assert not np.shares_memory(e1.sqrt_X, e3.sqrt_X)
+        assert np.array_equal(e1.sqrt_X, e2.sqrt_X)
+
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("kind", list(_models(4)))
+    def test_buffer_draw_is_sample_ensemble(self, kind, dist):
+        # one-row blocks at N = 9000, a partial last block at (37, 1500), and
+        # one buffer across the shapes and seeds
+        from anisomp.matrix_models import DrawBuffer
+
+        draws = DrawBuffer()
+        for n, N in ((7, 9000), (37, 1500)):
+            model = _models(n)[kind]
+            for seed in (3, 4):
+                got = draws.ensemble(model, N, dist, seed).sqrt_X
+                want = a.sample_ensemble(model, N, dist, seed).sqrt_X
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "spiked", "two spikes"])
+    def test_buffer_is_reused(self, kind):
+        from anisomp.matrix_models import DrawBuffer
+
+        draws = DrawBuffer()
+        model = _models(40)[kind]
+        first = draws.ensemble(model, 90, a.EntryDistribution.gaussian(), 1).sqrt_X
+        second = draws.ensemble(model, 90, a.EntryDistribution.gaussian(), 2).sqrt_X
+        assert second is first
+
+    def test_entries_are_one_draw_of_the_stream(self):
+        n, N = 21, 1000
+        for dist, draw in (
+            (a.EntryDistribution.gaussian(), lambda g: g.standard_normal((n, N))),
+            (
+                a.EntryDistribution.rademacher(),
+                lambda g: g.integers(0, 2, size=(n, N)).astype(float) * 2.0 - 1.0,
+            ),
+        ):
+            got = dist.sample(np.random.default_rng(5), np.empty((n, N)))
+            assert got.tobytes() == draw(np.random.default_rng(5)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["diagonal", "spiked", "two spikes"])
+    def test_sqrt_apply_in_place(self, kind):
+        n, N = 70, 1200
+        model = _models(n)[kind]
+        X = np.random.default_rng(6).standard_normal((n, N))
+        if kind == "diagonal":
+            want = np.sqrt(model.diagonal)[:, None] * X
+        else:
+            V = model.spike_vectors
+            scale = np.sqrt(1.0 + np.asarray(model.spike_strengths)) - 1.0
+            want = X + V @ (scale[:, None] * (V.T @ X))
+        got = model.sqrt_apply(X)
+        assert got is X
+        assert got.tobytes() == want.tobytes()
+
+    def test_row_kappa4_in_blocks(self):
+        from anisomp.matrix_models import _row_kappa4
+
+        A = np.random.default_rng(7).standard_normal((45, 700))
+        A2 = A * A
+        want = A.shape[1] * np.einsum("ij,ij->i", A2, A2) / 1.3**2 - 3.0
+        assert _row_kappa4(A, 1.3).tobytes() == want.tobytes()
+
+
 def _count_calls(monkeypatch, module, name):
     """Replace module.name by a wrapper that records each call; return the record."""
     calls = []
@@ -109,13 +194,17 @@ def _count_calls(monkeypatch, module, name):
 
 class TestLazyDecomposition:
     def test_decomposes_on_first_access_only(self, monkeypatch):
+        # eigenvalues read alone take one eigvalsh; the first eigenvector read
+        # takes one eigh and keeps the eigenvalues already known
         eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+        eigvalsh = _count_calls(monkeypatch, np.linalg, "eigvalsh")
         ens = _ensemble(20, 40, seed=4)
-        assert eigh == []
+        assert eigh == [] and eigvalsh == []
         lam = ens.eigenvalues
-        assert len(eigh) == 1
+        assert eigh == [] and len(eigvalsh) == 1
         vec = ens.eigenvectors
-        assert len(eigh) == 1
+        assert len(eigh) == 1 and len(eigvalsh) == 1
+        assert ens.eigenvalues is lam
         assert np.allclose((ens.sqrt_X @ ens.sqrt_X.T) @ vec, vec * lam, atol=1e-10)
 
     def test_given_eigenpairs_are_kept(self, monkeypatch):
