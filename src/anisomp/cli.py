@@ -273,28 +273,30 @@ def cmd_reproduce(args) -> int:
         settings["out_dir"] = args.out_dir
     if args.full:
         settings["full"] = True
-    try:
-        reports, bands = reproduce(
-            args.name,
-            seed=int(settings["seed"]),
-            full=bool(settings["full"]),
-            trials=settings["trials"],
-            out_dir=settings["out_dir"],
-            workers=_workers(args),
-        )
-    except ValueError as exc:
-        return _fail(f"error: {exc}", EXIT_PARSE)
-    except AnisompError as exc:  # e.g. BudgetExceeded
-        return _fail(f"error: {exc}", EXIT_SOLVER)
     failed = 0
-    for band in bands:
-        status = "PASS" if band.passed else "FAIL"
-        if not band.passed:
-            failed += 1
-        print(f"[{status}] {band.description}: observed {band.observed:.4g} (bound {band.bound})")
-    for rep in reports:
-        print(f"report: {rep.name} seed={rep.master_seed} trials={rep.trial_count} "
-              f"wall={rep.wall_clock:.1f}s -> {settings['out_dir']}")
+    for name in args.names:
+        try:
+            reports, bands = reproduce(
+                name,
+                seed=int(settings["seed"]),
+                full=bool(settings["full"]),
+                trials=settings["trials"],
+                out_dir=settings["out_dir"],
+                workers=_workers(args),
+            )
+        except ValueError as exc:
+            return _fail(f"error: {exc}", EXIT_PARSE)
+        except AnisompError as exc:  # e.g. BudgetExceeded
+            return _fail(f"error: {exc}", EXIT_SOLVER)
+        for band in bands:
+            status = "PASS" if band.passed else "FAIL"
+            if not band.passed:
+                failed += 1
+            print(f"[{status}] {band.description}: observed {band.observed:.4g} "
+                  f"(bound {band.bound})")
+        for rep in reports:
+            print(f"report: {rep.name} seed={rep.master_seed} trials={rep.trial_count} "
+                  f"wall={rep.wall_clock:.1f}s -> {settings['out_dir']}")
     return EXIT_BANDS if failed else EXIT_OK
 
 
@@ -365,8 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_sphericity)
 
-    p = sub.add_parser("reproduce", help="run a reproduction preset")
-    p.add_argument("name", choices=REPRODUCIBLE_NAMES)
+    p = sub.add_parser("reproduce", help="run reproduction presets (exit 5 if any band fails)")
+    p.add_argument(
+        "names",
+        nargs="+",
+        choices=REPRODUCIBLE_NAMES,
+        metavar="name",
+        help=f"one or more of {', '.join(REPRODUCIBLE_NAMES)}, run in turn",
+    )
     p.add_argument("--seed", type=int, help="master seed (default 1)")
     p.add_argument("--full", action="store_true", help="full-scale sizes (n = 2000, 10^3 table trials)")
     p.add_argument("--trials", type=int, help="override the per-cell trial count")

@@ -34,8 +34,8 @@ from .mp_law import (
     m2c_derivative,
     solve_m2c,
     solve_m2c_grid,
+    support_bulks,
     support_distance,
-    support_edges,
 )
 from .populations import FourthCumulantProfile, Population
 
@@ -301,7 +301,7 @@ def variance_positivity(
 # quadrature
 
 
-def _gl_panels(lo: float, hi: float, panels: int, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
+def _gl_panels(lo: float, hi: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = _gl(order)
     bounds = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (bounds[:-1] + bounds[1:])
@@ -319,8 +319,7 @@ def _bulk_panels(pop: Population, total_points: int) -> tuple[tuple[float, float
     """The support bulks (lo, hi), ascending, each with its number of 16-node
     Gauss panels: about ``total_points`` nodes shared in proportion to the
     bulk widths, and at least 4 panels in every bulk."""
-    edges = support_edges(pop.spectrum)
-    bulks = [(edges[2 * k + 1], edges[2 * k]) for k in range(len(edges) // 2)][::-1]
+    bulks = support_bulks(pop.spectrum)[::-1]
     widths = np.array([hi - lo for lo, hi in bulks])
     alloc = np.maximum((total_points * widths / widths.sum()).astype(int), 64)
     return tuple((lo, hi, max(int(pts) // 16, 4)) for (lo, hi), pts in zip(bulks, alloc))

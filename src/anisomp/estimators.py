@@ -215,23 +215,21 @@ def sphericity_test(
     v: np.ndarray,
     E_margin: float = 1.0,
     omega: float = 0.05,
-    *,
-    split_samples: int | None = None,
 ) -> SphericityVerdict:
     """Four-step sphericity test on a raw n x N data matrix.
 
     1. rescale by sigma^2 = n^{-1} sum of squared entries;
     2. place E = lambda_1 + E_margin above the rescaled spectrum;
     3. bound the variance via plug-in Stieltjes estimates and the
-       positive-part row-max fourth cumulant (or a split-sample variance);
+       positive-part row-max fourth cumulant;
     4. reject when sqrt(N) |R_uu(E) - R_vv(E)| >= sqrt(2) alpha Gamma(E).
 
     No eigenvectors are computed: lambda_1 and the plug-in estimates come
     from the eigenvalues of Q1 alone, and R_uu(E), R_vv(E) from one Cholesky
     factorisation of E - Q1, which exists because E lies above the spectrum,
-    and one triangular solve against [u, v].  The rescaled matrix
-    W = A / sigma is formed only for ``split_samples``: Q1 = A A^T / sigma^2
-    is scaled in place and the row cumulants come from A * A over sigma^4.
+    and one triangular solve against [u, v].  The rescaled matrix A / sigma
+    is never formed: Q1 = A A^T / sigma^2 is scaled in place and the row
+    cumulants come from A * A over sigma^4.
     ``E_margin`` must be finite and > 0 (``ValueError`` otherwise); a
     factorisation that fails anyway raises ``DegenerateData``.
     """
@@ -264,14 +262,9 @@ def sphericity_test(
     m_hat = float(np.mean(1.0 / (lam_q2 - E)))
     m_prime_hat = float(np.mean(1.0 / (lam_q2 - E) ** 2))
 
-    if split_samples:
-        W = A / math.sqrt(sigma_sq)
-        gamma_sq = _split_sample_gamma_sq(W, u, v, E, split_samples)
-        kappa_max = math.nan
-    else:
-        kappa_max = float(np.max(_row_kappa4(A, sigma_sq)))
-        bracket = max(kappa_max, 0.0) + 2.0 * m_prime_hat / m_hat**2
-        gamma_sq = m_hat**2 / (E**2 * abs(1.0 + m_hat) ** 4) * bracket
+    kappa_max = float(np.max(_row_kappa4(A, sigma_sq)))
+    bracket = max(kappa_max, 0.0) + 2.0 * m_prime_hat / m_hat**2
+    gamma_sq = m_hat**2 / (E**2 * abs(1.0 + m_hat) ** 4) * bracket
 
     alpha = alpha_from_omega(omega)
     statistic = math.sqrt(N) * abs(gap)
@@ -313,26 +306,3 @@ def _resolvent_gap_above(Q1: np.ndarray, u: np.ndarray, v: np.ndarray, E: float)
         raise DegenerateData(f"E - Q1 is not positive definite at E = {E}: {exc}") from exc
     y = _lower_solve(L, np.column_stack([u, v]))
     return float(y[:, 1] @ y[:, 1]) - float(y[:, 0] @ y[:, 0])
-
-
-def _split_sample_gamma_sq(
-    W: np.ndarray, u: np.ndarray, v: np.ndarray, E: float, p: int
-) -> float:
-    """Variance estimate from p independent column blocks (optional mode).
-
-    Each block gives one draw of the resolvent gap at its own scale; the
-    rescaled sample variance estimates the single-direction gamma^2.
-    """
-    n, N = W.shape
-    if p < 2 or N // p < 2:
-        raise ValueError("split-sample variance needs p >= 2 blocks with >= 2 columns")
-    block = N // p
-    gaps = []
-    for k in range(p):
-        Wk = W[:, k * block : (k + 1) * block] * math.sqrt(N / block)
-        Q1k = Wk @ Wk.T
-        if E - _descending_spectrum(Q1k)[0] < 1e-6:
-            raise OutsideDomain("split block spectrum reaches beyond E")
-        gaps.append(_resolvent_gap_above(Q1k, u, v, E))
-    # Var(sqrt(block) * gap) / 2 estimates the per-direction variance
-    return float(np.var(np.asarray(gaps), ddof=1) * block / 2.0)

@@ -561,10 +561,13 @@ def run_sphericity_frequencies(cfg: ExperimentConfig) -> ExperimentReport:
 # rigidity diagnostics
 
 
+RIGIDITY_D = 0.5  # the aspect ratio n/N of the rigidity diagnostic
+
+
 def _rigidity_trial(
-    k: int, draws: DrawBuffer, cfg: ExperimentConfig, N: int, d: float, gammas: np.ndarray
+    k: int, draws: DrawBuffer, cfg: ExperimentConfig, N: int, gammas: np.ndarray
 ) -> dict:
-    model = PopulationModel.identity(int(round(d * N)))
+    model = PopulationModel.identity(int(round(RIGIDITY_D * N)))
     ens = draws.ensemble(model, N, cfg.distribution, trial_seed(cfg.master_seed, 1000 * N + k))
     K = len(gammas)  # min(n, N)
     dev = np.abs(ens.eigenvalues[:K] - gammas)
@@ -576,9 +579,10 @@ def _rigidity_trial(
 
 
 def rigidity_diagnostic(
-    cfg: ExperimentConfig, sizes: tuple[int, ...] = (250, 500, 1000), d: float = 0.5
+    cfg: ExperimentConfig, sizes: tuple[int, ...] = (250, 500, 1000)
 ) -> ExperimentReport:
-    """Median |lambda_j - gamma_j| over the middle bulk at increasing N.
+    """Median |lambda_j - gamma_j| over the middle bulk at increasing N, for
+    Sigma = I at d = RIGIDITY_D.
 
     The medians are observations, so they go to ``stats``; the classical
     locations gamma_j they are measured against come from one
@@ -587,10 +591,10 @@ def rigidity_diagnostic(
     t0 = time.perf_counter()
     report = _new_report(cfg)
     for N in sizes:
-        pop = Population(PopulationModel.identity(int(round(d * N))), N)
+        pop = Population(PopulationModel.identity(int(round(RIGIDITY_D * N))), N)
         gammas = np.asarray(support_structure(pop.spectrum, N).classical_locations)
         rows = _map_trials(
-            partial(_rigidity_trial, cfg=cfg, N=N, d=d, gammas=gammas),
+            partial(_rigidity_trial, cfg=cfg, N=N, gammas=gammas),
             cfg.trial_count,
             cfg.workers,
         )

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EigenFailure, NearSingular, QuadratureFailure
-from .mp_law import as_unit_vector, solve_m2c_grid, support_edges
+from .mp_law import as_unit_vector, solve_m2c_grid, support_bulks
 from .clt_theory import TestFunction, _gl_panels, _m_at
 from .populations import (
     EntryDistribution,
@@ -386,10 +386,8 @@ def _centering_integral(
         return 0.0
     lo = max(lo, 1e-12)
     # the direction law is exactly zero off the support bulks
-    edges = support_edges(spectrum)
     pieces = []
-    for k in range(len(edges) // 2):
-        b_hi, b_lo = edges[2 * k], edges[2 * k + 1]
+    for b_lo, b_hi in support_bulks(spectrum):
         p_lo, p_hi = max(lo, b_lo), min(hi, b_hi)
         if p_hi > p_lo:
             pieces.append((p_lo, p_hi))

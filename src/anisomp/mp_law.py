@@ -39,6 +39,7 @@ __all__ = [
     "density_rho2c",
     "support_structure",
     "support_edges",
+    "support_bulks",
     "support_distance",
     "regularity_check",
     "anisotropic_density",
@@ -111,7 +112,7 @@ class StieltjesValue:
     """Value of m(z) with the fixed-point defect."""
 
     m: complex
-    residual: float = 0.0
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -237,14 +238,14 @@ def _newton_grid(
     return m, res
 
 
-def _off_branch(m: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Points that miss the residual tolerance or sit below the real axis.
+def _off_branch(m: np.ndarray) -> np.ndarray:
+    """Points that sit below the real axis.
 
-    The sign test is relative to |m| when |m| < 1: for a spectrum of scale
-    sigma, m is of order 1/sigma, and the wrong roots of Sigma = 200 I sit at
-    Im m between -1e-12 and -4e-13, which an absolute -1e-12 test accepts.
+    The test is relative to |m| when |m| < 1: for a spectrum of scale sigma,
+    m is of order 1/sigma, and the wrong roots of Sigma = 200 I sit at Im m
+    between -1e-12 and -4e-13, which an absolute -1e-12 test accepts.
     """
-    return ~(res <= RESIDUAL_TOL) | (m.imag < -1e-12 * np.minimum(1.0, np.abs(m)))
+    return m.imag < -1e-12 * np.minimum(1.0, np.abs(m))
 
 
 def _descend(
@@ -255,8 +256,8 @@ def _descend(
     The damped fixed point on the first rung, then Newton on each later one,
     vectorised over the points not yet converged.  No point's arithmetic
     depends on another's.  Returns m at E + i*rungs[-1] and the mask of the
-    points that missed the residual tolerance on any rung or end off the
-    branch (``_off_branch``).
+    points that missed the residual tolerance on any rung or end below the
+    real axis (``_off_branch``).
     """
     vals, wts = _atoms(pop)
     d = pop.aspect_ratio
@@ -279,7 +280,7 @@ def _descend(
         z = E + 1j * rung
         m, res = _newton_grid(m, z, d, vals, wts)
         failed |= ~(res <= RESIDUAL_TOL)
-    return m, failed | _off_branch(m, res)
+    return m, failed | _off_branch(m)
 
 
 def _solve_ladder_grid(energies: np.ndarray, eta: float, pop: PopulationSpectrum) -> np.ndarray:
@@ -305,45 +306,35 @@ def _solve_ladder_grid(energies: np.ndarray, eta: float, pop: PopulationSpectrum
     return m
 
 
-def _check_branch(z: np.ndarray | complex, m: np.ndarray | complex) -> None:
-    """Raise BranchViolation at the first point with Im z > 0 whose m leaves
-    the Nevanlinna branch (Im m < 0 or Im(z m) < 0)."""
-    z, m = np.atleast_1d(z), np.atleast_1d(m)
-    zm = z * m
-    up = z.imag > 0
-    low_m = up & (m.imag < -1e-12)
-    if low_m.any():
-        k = int(np.argmax(low_m))
-        raise BranchViolation(f"Im m = {m[k].imag:.3e} < 0 at z = {complex(z[k])!r}")
-    low_zm = up & (zm.imag < -1e-10 * np.maximum(1.0, np.abs(zm)))
-    if low_zm.any():
-        raise BranchViolation(f"Im(z m) < 0 at z = {complex(z[int(np.argmax(low_zm))])!r}")
+def _accept(z: np.ndarray, m: np.ndarray, pop: PopulationSpectrum) -> np.ndarray:
+    """The one acceptance rule for solved values m(z): returns the residuals
+    |m h(m)|, or raises at the first point that breaks the rule.
 
-
-def _solve_boundary(energies: np.ndarray, pop: PopulationSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary values m(E + i0) and their residuals for an array of real E.
-
-    The one-column case of ``_solve_panels`` at eta = 0: every point is its
-    own row, so a point's value does not depend on the rest of the array.
-    Raises NonConvergence or BranchViolation at the first point that fails.
+    BranchViolation: m sits below the real axis by ``_off_branch``'s sign
+    rule (relative to |m|), or Im z > 0 and Im(z m) < 0.  NonConvergence:
+    the residual is above RESIDUAL_TOL (at Im z = 0 the point may sit on a
+    spectral edge).  The branch is judged first, so each rule can be seen on
+    its own.
     """
-    E = np.asarray(energies, dtype=float)
     vals, wts = _atoms(pop)
-    m = _solve_panels(E[:, None], 0.0, pop)[:, 0]
-    with np.errstate(all="ignore"):  # an edge point fails the residual check below
-        res = np.abs(m * _defect_grid(m, E + 0j, pop.aspect_ratio, vals, wts)[0])
+    with np.errstate(all="ignore"):  # a point that did not converge fails below
+        res = np.abs(m * _defect_grid(m, z, pop.aspect_ratio, vals, wts)[0])
+    zm = z * m
+    off = _off_branch(m) | ((z.imag > 0) & (zm.imag < -1e-10 * np.maximum(1.0, np.abs(zm))))
+    if off.any():
+        k = int(np.argmax(off))
+        raise BranchViolation(
+            f"m = {complex(m[k])!r} at z = {complex(z[k])!r} leaves the branch "
+            "Im m >= 0, Im(z m) >= 0"
+        )
     failed = ~(res <= RESIDUAL_TOL)
     if failed.any():
         k = int(np.argmax(failed))
         raise NonConvergence(
-            f"boundary solve failed at E={E[k]} (residual {res[k]:.3e}); "
-            "the point may sit on a spectral edge"
+            f"self-consistent solve failed at z = {complex(z[k])!r} (residual {res[k]:.3e}); "
+            "a point at Im z = 0 may sit on a spectral edge"
         )
-    below = m.imag < -1e-12
-    if below.any():
-        k = int(np.argmax(below))
-        raise BranchViolation(f"boundary value has Im m = {m[k].imag:.3e} < 0 at E={E[k]}")
-    return m, res
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -355,37 +346,34 @@ def solve_m2c_points(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """m(E + i*eta), its residual and the density for an array of real E.
 
-    Each point is solved on its own, so its values are those of a one-point
-    call.  ``eta == 0`` encodes the boundary limit eta -> 0+ and is solved by
-    ``_solve_boundary`` (at any E but 0, ``_require_boundary_domain``): the
-    exact real root outside the support, the complex root with Im m > 0
-    inside, each polished by Newton at eta = 0; the density is Im m/pi,
-    exactly 0 off the support.  ``eta > 0`` descends the vectorised eta ladder and checks the
-    branch; the density is Im m(E + i*eta)/pi.  A negative or non-finite
-    eta raises ValueError.
+    The one solve path: ``_solve_panels`` with every point a row of its own,
+    so a point's values are those of a one-point call, and ``_accept`` as the
+    one acceptance rule (it raises at the first point that fails).
+    ``eta == 0`` encodes the boundary limit eta -> 0+ (at any E but 0,
+    ``_require_boundary_domain``): the real root outside the support, the
+    root with Im m > 0 inside; the density is Im m/pi, exactly 0 off the
+    support.  At ``eta > 0`` the density is Im m(E + i*eta)/pi.  A negative
+    or non-finite eta raises ValueError.
     """
     E = np.asarray(energies, dtype=float)
     if not (math.isfinite(eta) and eta >= 0.0):
         raise ValueError(
             f"expects a finite eta = Im z >= 0, got {eta!r}; conjugate the result instead"
         )
-    if eta == 0.0:
-        m, res = _solve_boundary(E, pop)
-        rho = np.where(support_distance(E, pop) > 0.0, 0.0, np.maximum(m.imag / math.pi, 0.0))
-        return m, res, rho
-    vals, wts = _atoms(pop)
     z = E + 1j * eta
-    m = _solve_ladder_grid(E, eta, pop)
-    _check_branch(z, m)
-    res = np.abs(m * _defect_grid(m, z, pop.aspect_ratio, vals, wts)[0])
-    return m, res, m.imag / math.pi
+    m = _solve_panels(E[:, None], eta, pop)[:, 0]
+    res = _accept(z, m, pop)
+    if eta > 0.0:
+        return m, res, m.imag / math.pi
+    rho = np.where(support_distance(E, pop) > 0.0, 0.0, np.maximum(m.imag / math.pi, 0.0))
+    return m, res, rho
 
 
 def solve_m2c(z: complex, pop: PopulationSpectrum) -> StieltjesValue:
     """Solve the self-consistent equation at z = E + i*eta, eta >= 0.
 
     ``solve_m2c_points`` on the one point: ``Im z == 0`` is the boundary
-    limit eta -> 0+, ``Im z > 0`` descends the eta ladder.
+    limit eta -> 0+, and ``Im z > 0`` takes the same march at E + i*eta.
     """
     z = complex(z)
     m, res, _ = solve_m2c_points(np.array([z.real]), z.imag, pop)
@@ -425,7 +413,11 @@ def _require_boundary_domain(E: np.ndarray) -> None:
 
 def _solve_panels(energies: np.ndarray, eta: float, pop: PopulationSpectrum) -> np.ndarray:
     """The warm-start march at E + i*eta, eta >= 0, on a (rows, cols) array
-    whose rows ascend in E, vectorised across the rows.
+    whose rows ascend in E, vectorised across the rows: the one way m(z) is
+    solved.  ``solve_m2c_points`` gives it one column, so every point is a
+    row of its own, and ``solve_m2c_grid`` rows of 16.  It returns m without
+    judging it: the point solves accept it by ``_accept``, and a grid's
+    caller reads it as it is.
 
     Each column is one Newton solve at E + i*eta started from the column
     before it.  The first column, and at eta = 0 (the boundary value
@@ -456,7 +448,7 @@ def _solve_panels(energies: np.ndarray, eta: float, pop: PopulationSpectrum) -> 
         start = np.where(off[:, j], start.real + 0j, start)
         m[:, j], res = _newton_grid(start, z[:, j], d, vals, wts)
         real_root = (eta == 0.0) & ~off[:, j] & (m[:, j].imag <= 0.0)
-        bad = ~fresh & (_off_branch(m[:, j], res) | real_root)
+        bad = ~fresh & (~(res <= RESIDUAL_TOL) | _off_branch(m[:, j]) | real_root)
         if bad.any():
             redo = _solve_ladder_grid(E[bad, j], rung, pop)
             m[bad, j] = _newton_grid(redo, z[bad, j], d, vals, wts)[0]
@@ -471,13 +463,12 @@ def m2c_derivative(z: complex, pop: PopulationSpectrum) -> complex:
 
 
 def _m_prime(m: complex, z: complex, pop: PopulationSpectrum) -> complex:
-    """``m2c_derivative`` at z from m = m(z) already solved there."""
+    """``m2c_derivative`` at z from m = m(z) already solved there: -1/h'(m)."""
     vals, wts = _atoms(pop)
-    avg_sq = complex(np.sum(wts * vals**2 / (1.0 + m * vals) ** 2))
-    denom = 1.0 / m**2 - pop.aspect_ratio * avg_sq
-    if abs(denom) < 1e-10:
+    hp = complex(_defect_grid(np.asarray(m), z, pop.aspect_ratio, vals, wts)[1])
+    if abs(hp) < 1e-10:
         raise DegenerateDenominator(f"implicit-function denominator vanishes at z = {z!r}")
-    return 1.0 / denom
+    return -1.0 / hp
 
 
 def density_rho2c(E: float, pop: PopulationSpectrum) -> float:
@@ -493,14 +484,10 @@ def density_rho2c(E: float, pop: PopulationSpectrum) -> float:
 # support structure: edges, bulk masses, classical locations
 
 
-def _zfun(m: np.ndarray, d: float, vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    s = np.sum(wts * vals / (1.0 + np.multiply.outer(m, vals)), axis=-1)
-    return -1.0 / m + d * s
-
-
 def _zprime(m: np.ndarray, d: float, vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    s2 = np.sum(wts * vals**2 / (1.0 + np.multiply.outer(m, vals)) ** 2, axis=-1)
-    return 1.0 / m**2 - d * s2
+    """z'(m) of the functional inverse z(m) = -1/m + d avg(sigma/(1+m sigma)),
+    which is -h'(m) at z = 0 (``_defect_grid``)."""
+    return -_defect_grid(m, 0.0, d, vals, wts)[1]
 
 
 def _interval_samples(lo: float, hi: float) -> np.ndarray:
@@ -573,7 +560,8 @@ def support_edges(pop: PopulationSpectrum) -> tuple[float, ...]:
     m_star = _illinois_roots(
         *(np.concatenate(parts) for parts in zip(*ends)), lambda mm: _zprime(mm, d, vals, wts)
     )
-    crit = sorted((float(c) for c in _zfun(m_star, d, vals, wts) if c > 0.0), reverse=True)
+    z_star = -_defect_grid(m_star, 0.0, d, vals, wts)[0]
+    crit = sorted((float(c) for c in z_star if c > 0.0), reverse=True)
     if len(crit) % 2 != 0 or not crit:
         raise EdgeDegeneracy(
             f"edge finder located {len(crit)} critical values; support is degenerate"
@@ -584,6 +572,13 @@ def support_edges(pop: PopulationSpectrum) -> tuple[float, ...]:
     return tuple(crit)
 
 
+def support_bulks(pop: PopulationSpectrum) -> tuple[tuple[float, float], ...]:
+    """The bulks (lo, hi) of the support, top bulk first: the one reader of
+    the layout of ``support_edges``, where bulk k is [edges[2k+1], edges[2k]]."""
+    edges = support_edges(pop)
+    return tuple(zip(edges[1::2], edges[0::2]))
+
+
 def support_distance(E: float | np.ndarray, pop: PopulationSpectrum) -> float | np.ndarray:
     """Distance from real E to the support of the law, 0 inside a bulk,
     elementwise for arrays.
@@ -592,9 +587,8 @@ def support_distance(E: float | np.ndarray, pop: PopulationSpectrum) -> float | 
     distance to it.  A float difference has the sign of the exact one, so the
     distance is 0 exactly when lo <= E <= hi for some bulk.
     """
-    edges = support_edges(pop)
     dist = np.inf
-    for hi, lo in zip(edges[0::2], edges[1::2]):
+    for lo, hi in support_bulks(pop):
         dist = np.minimum(dist, np.maximum(np.maximum(lo - E, E - hi), 0.0))
     return dist
 
@@ -659,10 +653,8 @@ def _series_tail(t_bounds: np.ndarray, coeffs: np.ndarray) -> float:
 def _bulk_quadratures(pop: PopulationSpectrum) -> tuple[_BulkQuadrature, ...]:
     """One quadrature per bulk, with 128 panels, or twice as many while the
     mass's error estimate (``_series_tail``) exceeds 1e-9, up to 1024."""
-    edges = support_edges(pop)
     out = []
-    for k in range(len(edges) // 2):
-        hi, lo = edges[2 * k], edges[2 * k + 1]
+    for lo, hi in support_bulks(pop):
         panels = 128
         t_b, cum, coeffs, mass = _bulk_mass_panels(pop, lo, hi, panels)
         while panels < 1024 and _series_tail(t_b, coeffs) > 1e-9:
@@ -835,8 +827,7 @@ def regularity_check(pop: PopulationSpectrum, tau: float = TAU) -> RegularityRep
         )
 
     bulk_flags = []
-    for k in range(len(edges) // 2):
-        hi, lo = edges[2 * k], edges[2 * k + 1]
+    for lo, hi in support_bulks(pop):
         a, b = lo + tau, hi - tau
         if a >= b:
             bulk_flags.append(BulkFlags(lo=lo, hi=hi, interior_density_min=0.0))

@@ -451,6 +451,42 @@ class TestReproduce:
         j1.pop("wall_clock")
         assert j0 == j1
 
+    @staticmethod
+    def fake_reproduce(calls, failing=()):
+        """A stand-in for ``experiments.reproduce`` that records its calls and
+        returns one band per name, failed for the names in ``failing``."""
+        from anisomp.experiments import BandResult, ExperimentReport
+
+        def fake(name, **kw):
+            calls.append((name, kw))
+            rep = ExperimentReport(name=name, master_seed=kw["seed"], trial_count=1, config={})
+            return [rep], [BandResult(f"{name} band", name not in failing, 0.5, "< 1")]
+
+        return fake
+
+    def test_several_names_run_in_turn(self, monkeypatch, capsys):
+        from anisomp import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "reproduce", self.fake_reproduce(calls))
+        code, out, _ = run_cli(["reproduce", "table1", "figure1", "--seed", "3"], capsys)
+        assert code == 0
+        assert [name for name, _ in calls] == ["table1", "figure1"]
+        assert calls[0][1] == calls[1][1] and calls[0][1]["seed"] == 3
+        assert [ln.split(":")[0] for ln in out.splitlines()] == [
+            "[PASS] table1 band", "report", "[PASS] figure1 band", "report"
+        ]
+
+    def test_a_failing_band_of_any_name_exits_five(self, monkeypatch, capsys):
+        from anisomp import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "reproduce", self.fake_reproduce(calls, failing=("table1",)))
+        code, out, _ = run_cli(["reproduce", "table1", "figure1"], capsys)
+        assert code == 5
+        assert len(calls) == 2  # a failed band does not stop the later names
+        assert "[FAIL] table1 band" in out and "[PASS] figure1 band" in out
+
     def test_unknown_name_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "table9"])

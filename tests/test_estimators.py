@@ -287,38 +287,30 @@ class TestSphericity:
             _resolvent_gap_above(Q1, _e(40), _e(40, 1), E)
 
     @pytest.mark.parametrize(
-        "n, N, a_spike, split",
-        [(200, 400, 0.0, None), (150, 300, 1.0, None), (120, 60, 0.0, None), (40, 2000, 0.0, 4)],
-        ids=["null", "spiked", "n>N", "split4"],
+        "n, N, a_spike",
+        [(200, 400, 0.0), (150, 300, 1.0), (120, 60, 0.0)],
+        ids=["null", "spiked", "n>N"],
     )
-    def test_matches_eigh_recomputation(self, n, N, a_spike, split):
+    def test_matches_eigh_recomputation(self, n, N, a_spike):
         data = self._data(n=n, N=N, a_spike=a_spike, x=0.5, seed=11)
         u, v = _e(n), np.full(n, 1.0 / math.sqrt(n))
-        got = a.sphericity_test(data, u, v, 1.0, 0.05, split_samples=split)
-        want = _eigh_sphericity(data, u, v, 1.0, 0.05, split)
+        got = a.sphericity_test(data, u, v, 1.0, 0.05)
+        want = _eigh_sphericity(data, u, v, 1.0, 0.05)
         for key, val in want.items():
-            if math.isnan(val):
-                assert math.isnan(getattr(got, key)), key
-            else:
-                assert getattr(got, key) == pytest.approx(val, rel=1e-9), key
+            assert getattr(got, key) == pytest.approx(val, rel=1e-9), key
         assert got.decision == ("reject" if want["statistic"] >= want["threshold"] else "accept")
 
-    @pytest.mark.parametrize(
-        "a_spike, x, split", [(0.0, 0.2, None), (1.0, 0.5, None), (1.0, 0.2, 4)], ids=["null", "spiked", "split4"]
-    )
-    def test_matches_the_rescaled_copy(self, a_spike, x, split):
+    @pytest.mark.parametrize("a_spike, x", [(0.0, 0.2), (1.0, 0.5)], ids=["null", "spiked"])
+    def test_matches_the_rescaled_copy(self, a_spike, x):
         # the statistic from Q1 = A A^T / sigma^2 and A * A / sigma^4 equals
         # the one computed on the rescaled copy W = A / sigma
-        n, N = (40, 2000) if split else (200, 400)
+        n, N = 200, 400
         data = self._data(n=n, N=N, a_spike=a_spike, x=x, seed=12)
         u, v = _e(n), _e(n, 1)
-        got = a.sphericity_test(data, u, v, 1.0, 0.05, split_samples=split)
-        want = _rescaled_copy_sphericity(data, u, v, 1.0, split)
+        got = a.sphericity_test(data, u, v, 1.0, 0.05)
+        want = _rescaled_copy_sphericity(data, u, v, 1.0)
         for key, val in want.items():
-            if math.isnan(val):
-                assert math.isnan(getattr(got, key)), key
-            else:
-                assert getattr(got, key) == pytest.approx(val, rel=1e-12), key
+            assert getattr(got, key) == pytest.approx(val, rel=1e-12), key
 
     def test_block_forward_solve(self):
         from scipy.linalg import solve_triangular
@@ -346,15 +338,6 @@ class TestSphericity:
         a.sphericity_test(data, _e(500), _e(500, 1))
         assert calls == []
 
-    def test_split_sample_variance_mode(self):
-        # needs tall data so each block spectrum stays below E
-        n, N, p = 40, 2000, 4
-        data = self._data(n=n, N=N, seed=7)
-        v_direct = a.sphericity_test(data, _e(n), _e(n, 1))
-        v_split = a.sphericity_test(data, _e(n), _e(n, 1), split_samples=p)
-        assert v_split.gamma_sq > 0.0
-        assert 0.1 <= v_split.gamma_sq / v_direct.gamma_sq <= 10.0
-
     def test_json_serialization(self):
         import json
 
@@ -365,32 +348,20 @@ class TestSphericity:
             assert key in record
 
 
-def _eigh_sphericity(A, u, v, margin, omega, split):
+def _eigh_sphericity(A, u, v, margin, omega):
     """The test's numeric fields from a full eigendecomposition of Q1."""
     n, N = A.shape
     W = A / math.sqrt(np.sum(A**2) / n)
-
-    def gap(Wb, E=None, margin=None):
-        lam, vec = np.linalg.eigh(Wb @ Wb.T)
-        lam, vec = np.maximum(lam[::-1], 0.0), vec[:, ::-1]
-        E = lam[0] + margin if E is None else E
-        pu, pv = vec.T @ u, vec.T @ v
-        return lam, E, np.sum(pu**2 / (lam - E)) - np.sum(pv**2 / (lam - E))
-
-    lam, E, g = gap(W, margin=margin)
+    lam, vec = np.linalg.eigh(W @ W.T)
+    lam, vec = np.maximum(lam[::-1], 0.0), vec[:, ::-1]
+    E = lam[0] + margin
+    pu, pv = vec.T @ u, vec.T @ v
+    g = np.sum(pu**2 / (lam - E)) - np.sum(pv**2 / (lam - E))
     lam_q2 = np.concatenate([lam[: min(n, N)], np.zeros(max(N - n, 0))])
     m = np.mean(1.0 / (lam_q2 - E))
     mp = np.mean(1.0 / (lam_q2 - E) ** 2)
-    if split:
-        b = N // split
-        gaps = [
-            gap(W[:, k * b : (k + 1) * b] * math.sqrt(N / b), E=E)[2] for k in range(split)
-        ]
-        gamma_sq = np.var(gaps, ddof=1) * b / 2.0
-        kappa_max = math.nan
-    else:
-        kappa_max = np.max(N * np.sum(W**4, axis=1) - 3.0)
-        gamma_sq = m**2 / (E**2 * abs(1.0 + m) ** 4) * (max(kappa_max, 0.0) + 2.0 * mp / m**2)
+    kappa_max = np.max(N * np.sum(W**4, axis=1) - 3.0)
+    gamma_sq = m**2 / (E**2 * abs(1.0 + m) ** 4) * (max(kappa_max, 0.0) + 2.0 * mp / m**2)
     alpha = a.alpha_from_omega(omega)
     return {
         "statistic": math.sqrt(N) * abs(g),
@@ -402,10 +373,10 @@ def _eigh_sphericity(A, u, v, margin, omega, split):
     }
 
 
-def _rescaled_copy_sphericity(A, u, v, margin, split):
+def _rescaled_copy_sphericity(A, u, v, margin):
     """The test's numbers from the explicitly rescaled copy W = A / sigma,
     the reference for the rescale folded into Q1 and the row cumulants."""
-    from anisomp.estimators import _resolvent_gap_above, _split_sample_gamma_sq
+    from anisomp.estimators import _resolvent_gap_above
 
     n, N = A.shape
     sigma_sq = float(np.sum(A**2) / n)
@@ -415,10 +386,6 @@ def _rescaled_copy_sphericity(A, u, v, margin, split):
     E = float(lam[0]) + margin
     out = {"E": E, "rescale_sigma_sq": sigma_sq}
     out["statistic"] = math.sqrt(N) * abs(_resolvent_gap_above(Q1, u, v, E))
-    if split:
-        out["gamma_sq"] = _split_sample_gamma_sq(W, u, v, E, split)
-        out["kappa4_max"] = math.nan
-    else:
-        W2 = W * W
-        out["kappa4_max"] = float(np.max(N * np.sum(W2 * W2, axis=1) - 3.0))
+    W2 = W * W
+    out["kappa4_max"] = float(np.max(N * np.sum(W2 * W2, axis=1) - 3.0))
     return out

@@ -1,5 +1,6 @@
 """Every name a module of the package lists in ``__all__`` exists, the
-package's count of options is pinned, only ``mp_law`` names ``ETA0``, and
+package's count of options is pinned, only ``mp_law`` names ``ETA0`` and
+reads the layout of ``support_edges``, and
 importing the package and its CLI loads no SciPy and no process pool (nor,
 with a first ``support_edges`` call, ``numpy.ma``)."""
 
@@ -45,23 +46,33 @@ def _option_count() -> int:
 
 def test_option_count():
     # a change that adds or removes an option updates this number in its diff
-    assert _option_count() == 67
+    assert _option_count() == 63
+
+
+def _modules_naming(name: str) -> set[str]:
+    """The package's files that name ``name`` as a variable, attribute or import."""
+    files = set()
+    for path in sorted(Path(anisomp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = (
+                (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and node.name == name)
+            )
+            if named:
+                files.add(path.name)
+    return files
 
 
 def test_only_mp_law_names_eta0():
     # where the eta -> 0 limit is taken is a decision of the solver module alone
-    names = []
-    for path in sorted(Path(anisomp.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            named = (
-                (isinstance(node, ast.Name) and node.id == "ETA0")
-                or (isinstance(node, ast.Attribute) and node.attr == "ETA0")
-                or (isinstance(node, ast.alias) and node.name == "ETA0")
-            )
-            if named:
-                names.append(path.name)
-    assert "mp_law.py" in names
-    assert sorted(set(names) - {"mp_law.py"}) == []
+    assert _modules_naming("ETA0") == {"mp_law.py"}
+
+
+def test_only_mp_law_names_support_edges():
+    # the edge layout (descending, bulk k = [edges[2k+1], edges[2k]]) is read
+    # by mp_law.support_bulks; the package root only re-exports the name
+    assert _modules_naming("support_edges") == {"mp_law.py", "__init__.py"}
 
 
 def test_import_loads_no_scipy():

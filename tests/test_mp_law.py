@@ -243,6 +243,55 @@ class TestBatchedPointSolves:
                     assert dens == mm.imag / math.pi
 
 
+class TestAcceptanceRule:
+    """Every public point solve accepts m(z) by the one rule of
+    ``mp_law._accept``: here ``_solve_panels`` returns a given value."""
+
+    POP = a.PopulationSpectrum((100.0,) * 4, 0.5)  # m is of order 1/100
+    M_TOP = -1.0 / (100.0 * (1.0 + math.sqrt(0.5)))  # m at the top edge
+
+    VALUES = {
+        # off the root, on the branch
+        "residual": M_TOP * 1.001 + 1e-3j * abs(M_TOP),
+        # a root at the top edge to the residual tolerance, below the axis
+        # by 1e-10 |m|: an absolute -1e-12 test accepts it
+        "below_axis": M_TOP - 5e-13j,
+        # Im m = 0, and Im(z m) = eta Re m < 0
+        "z_m_below_axis": complex(M_TOP),
+    }
+
+    @pytest.mark.parametrize(
+        "case, eta, error",
+        [
+            ("residual", 0.0, a.NonConvergence),
+            ("residual", 1e-13, a.NonConvergence),
+            ("below_axis", 0.0, a.BranchViolation),
+            ("below_axis", 1e-13, a.BranchViolation),
+            ("z_m_below_axis", 1.0, a.BranchViolation),
+        ],
+    )
+    def test_every_point_solve_rejects(self, monkeypatch, case, eta, error):
+        pop, m = self.POP, self.VALUES[case]
+        E = a.support_edges(pop)[0]  # on the support, so density_rho2c solves
+        if case == "below_axis":  # only the sign rule can reject it
+            vals, wts = _atoms(pop)
+            z = np.array([complex(E, eta)])
+            h = mp_law._defect_grid(np.array([m]), z, pop.aspect_ratio, vals, wts)[0]
+            assert abs(m * h[0]) <= mp_law.RESIDUAL_TOL
+        monkeypatch.setattr(
+            mp_law, "_solve_panels", lambda E_, eta_, pop_: np.full(E_.shape, m, dtype=complex)
+        )
+        calls = [
+            lambda: a.solve_m2c(complex(E, eta), pop),
+            lambda: mp_law.solve_m2c_points(np.array([E]), eta, pop),
+        ]
+        if eta == 0.0:
+            calls.append(lambda: a.density_rho2c(E, pop))
+        for call in calls:
+            with pytest.raises(error):
+                call()
+
+
 @pytest.mark.filterwarnings("error")
 class TestLargeSpectra:
     """Sigma = sigma I at d = 10 for sigma = 50 and 200: the first eta rung
