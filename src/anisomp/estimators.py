@@ -5,6 +5,9 @@
 * population-eigenvalue estimation with plug-in Stieltjes estimates,
 * the four-step sphericity test (rescale, place E above the spectrum,
   bound the variance, compare the resolvent gap against the threshold).
+
+Each reads its data as a ``matrix_models.SampleEnsemble``, the one source of
+lambda_1, the plug-in Stieltjes estimates and the resolvent.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ import numpy as np
 from .errors import DegenerateData, OutsideDomain, ResolventDegenerate
 from .matrix_models import (
     SampleEnsemble,
-    _factor_above,
-    _lower_solve,
+    _resolvent_forms,
     _row_kappa4,
     kappa4_hat,
     m2c_hat,
@@ -28,6 +30,7 @@ from .matrix_models import (
     resolvent_bilinear,
 )
 from .mp_law import as_unit_vector, null_mp_edges, null_mp_m2c, null_mp_m2c_prime
+from .populations import PopulationModel
 
 __all__ = [
     "EstimateWithInterval",
@@ -162,8 +165,9 @@ def estimate_population_eigenvalue(
 ) -> EstimateWithInterval:
     """Same inversion with the plug-in Stieltjes estimates, for general Sigma.
 
-    lambda_1 and the plug-in estimates read the eigenvalues alone (one
-    ``eigvalsh``), and R_vv(E) comes from the Cholesky factor: no ``eigh``."""
+    lambda_1 and the plug-in estimates read the eigenvalues (one ``eigvalsh``),
+    and R_vv(E) comes from one Cholesky factor, both from the draw's one Gram
+    matrix: no ``eigh``."""
     v = as_unit_vector(v)
     if E <= ens.lambda_1 + min_gap:
         raise OutsideDomain(f"E = {E} not above lambda_1 + {min_gap} = {ens.lambda_1 + min_gap}")
@@ -224,14 +228,16 @@ def sphericity_test(
        positive-part row-max fourth cumulant;
     4. reject when sqrt(N) |R_uu(E) - R_vv(E)| >= sqrt(2) alpha Gamma(E).
 
-    No eigenvectors are computed: lambda_1 and the plug-in estimates come
-    from the eigenvalues of Q1 alone, and R_uu(E), R_vv(E) from one Cholesky
-    factorisation of E - Q1, which exists because E lies above the spectrum,
-    and one triangular solve against [u, v].  The rescaled matrix A / sigma
-    is never formed: Q1 = A A^T / sigma^2 is scaled in place and the row
-    cumulants come from A * A over sigma^4.
-    ``E_margin`` must be finite and > 0 (``ValueError`` otherwise); a
-    factorisation that fails anyway raises ``DegenerateData``.
+    A is read as one ``SampleEnsemble`` with Sigma = I: lambda_1 and the
+    plug-in estimates come from its eigenvalues, R_uu(E) and R_vv(E) from
+    its Cholesky factor and one triangular solve against [u, v], all from one
+    Gram matrix A A^T; no eigenvector is computed.  A / sigma is never formed:
+    (A A^T / sigma^2 - E)^{-1} = sigma^2 (A A^T - sigma^2 E)^{-1}, and the row
+    cumulants come from A * A over sigma^4.  ``E_margin`` must be finite and
+    > 0 (``ValueError`` otherwise).  The ensemble's real-point rule holds at
+    sigma^2 E_margin: within ``NEAR_FACTOR`` x ``REAL_GAP`` of lambda_1 the
+    resolvent comes from the eigenpairs, within ``REAL_GAP`` the call raises
+    ``NearSingular``.
     """
     A = np.asarray(raw_data, dtype=float)
     if A.ndim != 2:
@@ -251,16 +257,13 @@ def sphericity_test(
     if sigma_sq <= 0.0:
         raise DegenerateData("data matrix has zero scale")
 
-    Q1 = A @ A.T
-    Q1 /= sigma_sq
-    lam = _descending_spectrum(Q1)
-    nz = min(n, N)
-    lam_q2 = np.concatenate([lam[:nz], np.zeros(max(N - nz, 0))])
-
-    E = float(lam[0]) + E_margin
-    gap = _resolvent_gap_above(Q1, u, v, E)
-    m_hat = float(np.mean(1.0 / (lam_q2 - E)))
-    m_prime_hat = float(np.mean(1.0 / (lam_q2 - E) ** 2))
+    ens = SampleEnsemble.from_data(PopulationModel.identity(n), A)
+    E = ens.lambda_1 / sigma_sq + E_margin
+    z = sigma_sq * E
+    R = _resolvent_forms(ens, [u, v], z)
+    gap = sigma_sq * float((R[0, 0] - R[1, 1]).real)
+    m_hat = sigma_sq * m2c_hat(ens, z).real
+    m_prime_hat = sigma_sq**2 * m2c_hat_prime(ens, z).real
 
     kappa_max = float(np.max(_row_kappa4(A, sigma_sq)))
     bracket = max(kappa_max, 0.0) + 2.0 * m_prime_hat / m_hat**2
@@ -282,27 +285,3 @@ def sphericity_test(
         m2c_prime_hat=m_prime_hat,
         kappa4_max=kappa_max,
     )
-
-
-def _descending_spectrum(Q1: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetric Q1, descending and clamped at zero."""
-    try:
-        lam = np.linalg.eigvalsh(Q1)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateData(f"eigensolver failed: {exc}") from exc
-    return np.maximum(lam[::-1], 0.0)
-
-
-def _resolvent_gap_above(Q1: np.ndarray, u: np.ndarray, v: np.ndarray, E: float) -> float:
-    """R_uu(E) - R_vv(E), with R = (Q1 - E)^{-1}, for real E above the spectrum.
-
-    With E - Q1 = L L^T (``matrix_models._factor_above``), -R_uu(E) =
-    |L^{-1} u|^2.  A failed factorisation, E not above the spectrum, raises
-    ``DegenerateData``.  Q1 is overwritten.
-    """
-    try:
-        L = _factor_above(Q1, E)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateData(f"E - Q1 is not positive definite at E = {E}: {exc}") from exc
-    y = _lower_solve(L, np.column_stack([u, v]))
-    return float(y[:, 1] @ y[:, 1]) - float(y[:, 0] @ y[:, 0])

@@ -8,7 +8,8 @@ Q1 = B B^T comes from one Cholesky factor of E - Q1, shared by every
 direction at that E.  Reads of the eigenvalues alone (lambda_1, plug-in
 Stieltjes transforms) take one ``eigvalsh``; everything else (complex
 points, eigenvector laws, linear statistics) is a spectral sum over the
-eigenpairs of Q1, from one ``eigh`` on first use.
+eigenpairs of Q1, from one ``eigh`` on first use.  The three read one Gram
+matrix Q1: ``eigvalsh`` keeps it, and ``eigh`` or the factor consumes it.
 
 A run of Monte-Carlo trials draws through one ``DrawBuffer``: every draw
 overwrites the same n x N array, so no trial maps fresh memory for its data.
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EigenFailure, NearSingular, QuadratureFailure
-from .mp_law import as_unit_vector, solve_m2c_grid, support_bulks
+from .mp_law import _direction_density, as_unit_vector, solve_m2c_grid, support_bulks
 from .clt_theory import TestFunction, _gl_panels, _m_at
 from .populations import (
     EntryDistribution,
@@ -44,8 +45,9 @@ __all__ = [
 ]
 
 MAX_DESK_N = 4000
-# a real point within REAL_GAP of an eigenvalue is singular for the resolvent;
-# the Cholesky route hands over to the eigenpairs NEAR_FACTOR times further out
+# a real point within REAL_GAP of an eigenvalue is singular for the resolvent
+# and the plug-in sums; the Cholesky route hands over to the eigenpairs
+# NEAR_FACTOR times further out
 REAL_GAP = 1e-8
 NEAR_FACTOR = 100.0
 
@@ -82,6 +84,7 @@ class SampleEnsemble:
         self.sqrt_X = sqrt_X
         self._eigenvalues = eigenvalues
         self._eigenvectors = eigenvectors
+        self._gram: np.ndarray | None = None
         self._factor: tuple[float, np.ndarray | None] | None = None
 
     @classmethod
@@ -105,11 +108,18 @@ class SampleEnsemble:
             eigenvectors=None,
         )
 
+    def _q1(self, consume: bool) -> np.ndarray:
+        """Q1 = B B^T, formed once and kept until a reader consumes it: the
+        Cholesky factor overwrites it, and after ``eigh`` nothing reads it."""
+        Q1 = _gram(self.sqrt_X) if self._gram is None else self._gram
+        self._gram = None if consume else Q1
+        return Q1
+
     @property
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
-            B = self.sqrt_X
-            self._eigenvalues = _descending(_eigen(np.linalg.eigvalsh, B @ B.T), B.shape)
+            lam = _eigen(np.linalg.eigvalsh, self._q1(consume=False))
+            self._eigenvalues = _descending(lam, self.sqrt_X.shape)
         return self._eigenvalues
 
     @property
@@ -120,27 +130,30 @@ class SampleEnsemble:
 
     def _decompose(self) -> None:
         """Eigendecompose Q1 and fill in whichever of the eigenpairs is missing."""
-        B = self.sqrt_X
-        lam, vec = _eigen(np.linalg.eigh, B @ B.T)
+        lam, vec = _eigen(np.linalg.eigh, self._q1(consume=True))
         if self._eigenvalues is None:
-            self._eigenvalues = _descending(lam, B.shape)
+            self._eigenvalues = _descending(lam, self.sqrt_X.shape)
         if self._eigenvectors is None:
             self._eigenvectors = vec[:, ::-1].copy()
         self._factor = None  # the eigenpairs answer every later call
 
     def _factor_at(self, E: float) -> np.ndarray | None:
         """L with E - Q1 = L L^T, or None where E is not safely above the
-        spectrum: the factorisation fails (E inside or below it), or inverse
-        iteration puts lambda_1 within ``NEAR_FACTOR`` x ``REAL_GAP`` of E.
+        spectrum: E - lambda_1 < ``NEAR_FACTOR`` x ``REAL_GAP`` when the
+        eigenvalues are known; otherwise the factorisation fails (E inside or
+        below the spectrum), or inverse iteration puts lambda_1 that close.
         Kept for the last E asked."""
         if self._factor is None or self._factor[0] != E:
-            B = self.sqrt_X
-            try:
-                L = _factor_above(B @ B.T, E)
-                if not _lowest_eigenvalue_bound(L) >= NEAR_FACTOR * REAL_GAP:
-                    L = None
-            except np.linalg.LinAlgError:
-                L = None
+            near = NEAR_FACTOR * REAL_GAP
+            known = self._eigenvalues is not None
+            L = None
+            if not known or E - self._eigenvalues[0] >= near:
+                try:
+                    L = _factor_above(self._q1(consume=True), E)
+                    if not known and not _lowest_eigenvalue_bound(L) >= near:
+                        L = None
+                except np.linalg.LinAlgError:
+                    pass
             self._factor = (E, L)
         return self._factor[1]
 
@@ -163,10 +176,12 @@ class SampleEnsemble:
     def q2_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the companion N x N matrix (zeros accounted)."""
         nz = min(self.n, self.N)
-        lam = self.eigenvalues[:nz]
-        if self.N > nz:
-            return np.concatenate([lam, np.zeros(self.N - nz)])
-        return lam.copy()
+        return np.concatenate([self.eigenvalues[:nz], np.zeros(self.N - nz)])
+
+
+def _gram(B: np.ndarray) -> np.ndarray:
+    """Q1 = B B^T: every Gram matrix of a draw is formed here."""
+    return B @ B.T
 
 
 def _eigen(solver, Q1: np.ndarray):
@@ -234,32 +249,40 @@ def vesd_eval(ens: SampleEnsemble, u: np.ndarray, x: float) -> float:
 def resolvent_bilinear(
     ens: SampleEnsemble, u: np.ndarray, v: np.ndarray, z: complex
 ) -> complex:
-    """u^T (Q1 - z)^{-1} v.
-
-    At a real z = E on an ensemble not yet decomposed, and safely above its
-    spectrum, this is -(L^{-1} u) . (L^{-1} v) with E - Q1 = L L^T, the factor
-    shared by every call at that E.  Otherwise it is the spectral sum over the
-    eigenpairs, and a real z within ``REAL_GAP`` of an eigenvalue raises
-    ``NearSingular``.
-    """
-    z = complex(z)
+    """u^T (Q1 - z)^{-1} v (see ``_resolvent_forms``)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    # R_vv needs one solve: with u is v, the one column serves both sides
+    return complex(_resolvent_forms(ens, [u] if u is v else [u, v], z)[0, -1])
+
+
+def _resolvent_forms(ens: SampleEnsemble, vectors: list[np.ndarray], z: complex) -> np.ndarray:
+    """a^T (Q1 - z)^{-1} b for every pair (a, b) of the few ``vectors``.
+
+    At a real z = E safely above the spectrum of an ensemble not yet
+    decomposed: -(L^{-1} a) . (L^{-1} b), from the factor E - Q1 = L L^T kept
+    for that E and one triangular solve against all the vectors.  Otherwise:
+    spectral sums over the eigenpairs, under the real-point rule.
+    """
+    z = complex(z)
     if z.imag == 0.0 and ens._eigenvectors is None:
         L = ens._factor_at(z.real)
         if L is not None:
-            # R_vv needs one solve: with u is v, y[:, 0] and y[:, -1] are one column
-            y = _lower_solve(L, u[:, None] if u is v else np.column_stack([u, v]))
-            return complex(-float(y[:, 0] @ y[:, -1]))
+            Y = _lower_solve(L, np.column_stack(vectors)).T
+            return np.array([[-float(a @ b) for b in Y] for a in Y], dtype=complex)
     # projections first: the eigenvalues of the sum come from the same eigh
-    pu = ens.projections(u)
-    pv = ens.projections(v)
+    P = [ens.projections(w) for w in vectors]
+    lam = ens.eigenvalues
     if z.imag == 0.0:
-        gap = float(np.min(np.abs(ens.eigenvalues - z.real)))
-        if gap < REAL_GAP:
-            raise NearSingular(f"real z = {z.real} within 1e-8 of the spectrum")
-    val = complex(np.sum(pu * pv / (ens.eigenvalues - z)))
-    return val.real + 0.0j if z.imag == 0.0 else val
+        _require_clear(lam, z.real)
+    F = np.array([[np.sum(a * b / (lam - z)) for b in P] for a in P])
+    return F.real + 0.0j if z.imag == 0.0 else F
+
+
+def _require_clear(lam: np.ndarray, E: float) -> None:
+    """The real-point rule: ``NearSingular`` within ``REAL_GAP`` of ``lam``."""
+    if float(np.min(np.abs(lam - E))) < REAL_GAP:
+        raise NearSingular(f"real z = {E} within {REAL_GAP:g} of the spectrum")
 
 
 def _factor_above(Q1: np.ndarray, E: float) -> np.ndarray:
@@ -394,41 +417,32 @@ def _centering_integral(
     total = 0.0
     for p_lo, p_hi in pieces:
         u, wu = _gl_panels(p_lo, p_hi, 48, 8)
-        m = solve_m2c_grid(u, 0.0, spectrum)
-        rho = np.maximum(m.imag, 0.0) / np.pi
-        acc = np.zeros_like(u)
-        for s, wgt in zip(sig, wts):
-            acc += wgt * s / np.abs(1.0 + m * s) ** 2
-        total += float(np.sum(wu * f((u - E) / eta) * rho / u * acc))
+        dens = _direction_density(u, solve_m2c_grid(u, 0.0, spectrum), sig, wts)
+        total += float(np.sum(wu * f((u - E) / eta) * dens))
     if not np.isfinite(total):
         raise QuadratureFailure("centering integral did not evaluate finitely")
     return total
 
 
 def m2c_hat(ens: SampleEnsemble, z: complex) -> complex:
-    """Plug-in Stieltjes transform N^{-1} tr (Q2 - z)^{-1}.
-
-    Q2 shares the nonzero spectrum of Q1 and carries N - min(n, N) extra
-    zeros, accounted explicitly.
-    """
-    z = complex(z)
-    lam = ens.q2_eigenvalues()
-    if z.imag == 0.0:
-        if float(np.min(np.abs(lam - z.real))) < 1e-6:
-            raise NearSingular(f"E = {z.real} within 1e-6 of the companion spectrum")
-        return complex(float(np.mean(1.0 / (lam - z.real))))
-    return complex(np.mean(1.0 / (lam - z)))
+    """Plug-in Stieltjes transform N^{-1} tr (Q2 - z)^{-1}."""
+    return _plug_in_sum(ens, z, 1)
 
 
 def m2c_hat_prime(ens: SampleEnsemble, z: complex) -> complex:
     """Plug-in derivative N^{-1} tr (Q2 - z)^{-2}."""
+    return _plug_in_sum(ens, z, 2)
+
+
+def _plug_in_sum(ens: SampleEnsemble, z: complex, p: int) -> complex:
+    """N^{-1} sum_k (lambda_k - z)^{-p} over the spectrum of Q2 (the nonzero
+    spectrum of Q1 and N - min(n, N) zeros), under the real-point rule."""
     z = complex(z)
     lam = ens.q2_eigenvalues()
     if z.imag == 0.0:
-        if float(np.min(np.abs(lam - z.real))) < 1e-6:
-            raise NearSingular(f"E = {z.real} within 1e-6 of the companion spectrum")
-        return complex(float(np.mean(1.0 / (lam - z.real) ** 2)))
-    return complex(np.mean(1.0 / (lam - z) ** 2))
+        _require_clear(lam, z.real)
+        return complex(float(np.mean(1.0 / (lam - z.real) ** p)))
+    return complex(np.mean(1.0 / (lam - z) ** p))
 
 
 def kappa4_hat(ens: SampleEnsemble, mode: str = "pooled") -> FourthCumulantProfile:

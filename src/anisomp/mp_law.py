@@ -853,19 +853,17 @@ def regularity_check(pop: PopulationSpectrum, tau: float = TAU) -> RegularityRep
 # anisotropic (direction-dependent) law
 
 
-def _anisotropic_density_from_weights(
-    E: float, pop: PopulationSpectrum, sigmas: np.ndarray, weights: np.ndarray
-) -> float:
-    """Direction-resolved density with the direction given as eigenbasis
-    weights: sum_k w_k * rho(E) * sigma_k / (E * |1 + m(E) sigma_k|^2)."""
-    if support_distance(E, pop) > 0.0:
-        return 0.0
-    m = solve_m2c(complex(E, 0.0), pop).m
-    rho = max(m.imag / math.pi, 0.0)
-    sigmas = np.asarray(sigmas, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    val = rho / E * float(np.sum(weights * sigmas / np.abs(1.0 + m * sigmas) ** 2))
-    return max(val, 0.0)
+def _direction_density(x, m, sigmas, weights) -> np.ndarray:
+    """Density of the anisotropic law along a direction with eigenbasis
+    weights w: rho(x) / x * sum_k w_k sigma_k / |1 + m(x) sigma_k|^2 at each
+    x, with rho = max(Im m, 0) / pi from the boundary values m = m(x + i0).
+    On a grid of x the atoms are summed one after another, in their order."""
+    m = np.asarray(m, dtype=complex)
+    shape = (-1,) + (1,) * m.ndim  # atoms along a new first axis
+    s = np.reshape(np.asarray(sigmas, dtype=float), shape)
+    w = np.reshape(np.asarray(weights, dtype=float), shape)
+    acc = np.sum(w * s / np.abs(1.0 + m * s) ** 2, axis=0)
+    return np.maximum(m.imag, 0.0) / np.pi / x * acc
 
 
 def anisotropic_density(
@@ -880,7 +878,10 @@ def anisotropic_density(
     if len(v) != pop.n:
         raise ValueError("direction vector length must equal the population dimension")
     vt = v if eigenvectors is None else eigenvectors.T @ v
-    return _anisotropic_density_from_weights(E, pop, np.asarray(pop.eigenvalues), vt**2)
+    if support_distance(E, pop) > 0.0:
+        return 0.0
+    m = solve_m2c(complex(E, 0.0), pop).m
+    return float(_direction_density(E, m, pop.eigenvalues, vt**2))
 
 
 def as_unit_vector(v: Iterable[float]) -> np.ndarray:

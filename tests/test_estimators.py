@@ -19,6 +19,37 @@ def _e(n, k=0):
     return v
 
 
+ONE_GRAM_ONE_FACTOR = {
+    "_gram": 1,
+    "eigvalsh": 1,
+    "cholesky": 1,
+    "eigh": 0,
+    "_lowest_eigenvalue_bound": 0,
+}
+
+
+def _count_linalg(monkeypatch):
+    """Count the Gram matrices, decompositions and lambda_1 bounds that follow."""
+    from anisomp import matrix_models
+
+    calls = dict.fromkeys(ONE_GRAM_ONE_FACTOR, 0)
+    for module, name in [
+        (matrix_models, "_gram"),
+        (np.linalg, "eigvalsh"),
+        (np.linalg, "cholesky"),
+        (np.linalg, "eigh"),
+        (matrix_models, "_lowest_eigenvalue_bound"),
+    ]:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestAlphaOmega:
     def test_paper_threshold(self):
         assert a.alpha_from_omega(0.05) == pytest.approx(1.959964, abs=1e-5)
@@ -156,20 +187,13 @@ class TestPopulationEstimator:
         assert abs(spike.point - popest.point) <= tol
 
     def test_eigenvalues_only(self, monkeypatch):
-        # lambda_1 and the plug-in estimates need the eigenvalues alone, and
-        # R_vv(E) above the spectrum comes from the Cholesky factor
-        calls = {"eigh": 0, "eigvalsh": 0}
-        for name in calls:
-            fn = getattr(np.linalg, name)
-
-            def counted(*args, _fn=fn, _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        # one trial forms one Gram matrix; lambda_1 and the plug-in estimates
+        # read its eigenvalues, and R_vv(E) above the spectrum comes from one
+        # Cholesky factor of it, checked against lambda_1 without a bound solve
+        calls = _count_linalg(monkeypatch)
         ens = _spiked_ensemble(seed=5)
         est = a.estimate_population_eigenvalue(ens, _e(300), 4.0, kappa_mode="gaussian")
-        assert calls == {"eigh": 0, "eigvalsh": 1}
+        assert calls == ONE_GRAM_ONE_FACTOR
         want = float(np.sum((ens.eigenvectors.T @ _e(300)) ** 2 / (ens.eigenvalues - 4.0)))
         assert est.resolvent == pytest.approx(want, rel=1e-12)
 
@@ -275,16 +299,25 @@ class TestSphericity:
         with pytest.raises(ValueError):
             a.sphericity_test(data, _e(40), _e(40, 1), E_margin=margin)
 
-    def test_gap_below_the_spectrum_is_degenerate(self):
-        # E - Q1 is indefinite below lambda_1: the Cholesky factorisation
-        # fails, and that surfaces as DegenerateData, not LinAlgError
-        from anisomp.estimators import _resolvent_gap_above
-
+    def test_margin_in_the_singular_band(self):
+        # E = lambda_1 + 1e-300 is lambda_1: within REAL_GAP of the spectrum
         W = self._data(n=40, N=80, seed=2)
-        Q1 = W @ W.T
-        E = 0.5 * np.linalg.eigvalsh(Q1)[-1]
-        with pytest.raises(a.DegenerateData):
-            _resolvent_gap_above(Q1, _e(40), _e(40, 1), E)
+        with pytest.raises(a.NearSingular):
+            a.sphericity_test(W, _e(40), _e(40, 1), E_margin=1e-300)
+
+    def test_margin_in_the_hand_over_band(self, monkeypatch):
+        # lambda_1 + 1e-7 is clear of REAL_GAP but inside NEAR_FACTOR x
+        # REAL_GAP: the resolvent comes from the eigenpairs
+        W = self._data(n=40, N=80, seed=2)
+        u, v = _e(40), np.full(40, 1.0 / math.sqrt(40))
+        calls = _count_linalg(monkeypatch)
+        got = a.sphericity_test(W, u, v, 1e-7, 0.05)
+        assert calls["eigh"] == 1 and calls["cholesky"] == 0
+        want = _eigh_sphericity(W, u, v, 1e-7, 0.05)
+        # each side rounds E - lambda_1 = 1e-7 to within an ulp of lambda_1
+        # (4.4e-16 here), so the top terms agree to a few parts in 1e9
+        for key, val in want.items():
+            assert getattr(got, key) == pytest.approx(val, rel=2e-8), key
 
     @pytest.mark.parametrize(
         "n, N, a_spike",
@@ -315,7 +348,7 @@ class TestSphericity:
     def test_block_forward_solve(self):
         from scipy.linalg import solve_triangular
 
-        from anisomp.estimators import _lower_solve
+        from anisomp.matrix_models import _lower_solve
 
         rng = np.random.default_rng(3)
         M = rng.standard_normal((150, 300))
@@ -326,17 +359,12 @@ class TestSphericity:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
     def test_no_eigenvectors(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        # one Gram matrix of the raw data: lambda_1 and the plug-in estimates
+        # from its eigenvalues, R_uu and R_vv from one Cholesky factor of it
+        calls = _count_linalg(monkeypatch)
         data = self._data(n=500, N=1000, seed=5)
         a.sphericity_test(data, _e(500), _e(500, 1))
-        assert calls == []
+        assert calls == ONE_GRAM_ONE_FACTOR
 
     def test_json_serialization(self):
         import json
@@ -375,9 +403,8 @@ def _eigh_sphericity(A, u, v, margin, omega):
 
 def _rescaled_copy_sphericity(A, u, v, margin):
     """The test's numbers from the explicitly rescaled copy W = A / sigma,
-    the reference for the rescale folded into Q1 and the row cumulants."""
-    from anisomp.estimators import _resolvent_gap_above
-
+    the reference for the rescale folded into the spectral point and the row
+    cumulants; the resolvent gap from a dense solve against W W^T - E."""
     n, N = A.shape
     sigma_sq = float(np.sum(A**2) / n)
     W = A / math.sqrt(sigma_sq)
@@ -385,7 +412,8 @@ def _rescaled_copy_sphericity(A, u, v, margin):
     lam = np.maximum(np.linalg.eigvalsh(Q1)[::-1], 0.0)
     E = float(lam[0]) + margin
     out = {"E": E, "rescale_sigma_sq": sigma_sq}
-    out["statistic"] = math.sqrt(N) * abs(_resolvent_gap_above(Q1, u, v, E))
+    R = np.linalg.solve(Q1 - E * np.eye(n), np.column_stack([u, v]))
+    out["statistic"] = math.sqrt(N) * abs(float(u @ R[:, 0]) - float(v @ R[:, 1]))
     W2 = W * W
     out["kappa4_max"] = float(np.max(N * np.sum(W2 * W2, axis=1) - 3.0))
     return out

@@ -1,6 +1,7 @@
 """Every name a module of the package lists in ``__all__`` exists, the
 package's count of options is pinned, only ``mp_law`` names ``ETA0`` and
-reads the layout of ``support_edges``, and
+reads the layout of ``support_edges``, only ``matrix_models`` names the
+Cholesky route, and
 importing the package and its CLI loads no SciPy and no process pool (nor,
 with a first ``support_edges`` call, ``numpy.ma``)."""
 
@@ -73,6 +74,13 @@ def test_only_mp_law_names_support_edges():
     # the edge layout (descending, bulk k = [edges[2k+1], edges[2k]]) is read
     # by mp_law.support_bulks; the package root only re-exports the name
     assert _modules_naming("support_edges") == {"mp_law.py", "__init__.py"}
+
+
+@pytest.mark.parametrize("name", ["_factor_above", "_lower_solve"])
+def test_only_matrix_models_names_the_cholesky_route(name):
+    # a resolvent at a real point above the spectrum has one path: the
+    # Cholesky factor a SampleEnsemble keeps for that point
+    assert _modules_naming(name) == {"matrix_models.py"}
 
 
 def test_import_loads_no_scipy():

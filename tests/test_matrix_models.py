@@ -195,7 +195,11 @@ def _count_calls(monkeypatch, module, name):
 class TestLazyDecomposition:
     def test_decomposes_on_first_access_only(self, monkeypatch):
         # eigenvalues read alone take one eigvalsh; the first eigenvector read
-        # takes one eigh and keeps the eigenvalues already known
+        # takes one eigh and keeps the eigenvalues already known; both read
+        # one Gram matrix
+        from anisomp import matrix_models
+
+        gram = _count_calls(monkeypatch, matrix_models, "_gram")
         eigh = _count_calls(monkeypatch, np.linalg, "eigh")
         eigvalsh = _count_calls(monkeypatch, np.linalg, "eigvalsh")
         ens = _ensemble(20, 40, seed=4)
@@ -203,7 +207,7 @@ class TestLazyDecomposition:
         lam = ens.eigenvalues
         assert eigh == [] and len(eigvalsh) == 1
         vec = ens.eigenvectors
-        assert len(eigh) == 1 and len(eigvalsh) == 1
+        assert len(eigh) == 1 and len(eigvalsh) == 1 and len(gram) == 1
         assert ens.eigenvalues is lam
         assert np.allclose((ens.sqrt_X @ ens.sqrt_X.T) @ vec, vec * lam, atol=1e-10)
 
