@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateData, OutsideDomain, ResolventDegenerate
 from .matrix_models import (
     SampleEnsemble,
-    _resolvent_forms,
+    _resolvent_parts,
     _row_kappa4,
     kappa4_hat,
     m2c_hat,
@@ -234,9 +234,10 @@ def sphericity_test(
     Gram matrix A A^T; no eigenvector is computed.  A / sigma is never formed:
     (A A^T / sigma^2 - E)^{-1} = sigma^2 (A A^T - sigma^2 E)^{-1}, and the row
     cumulants come from A * A over sigma^4.  ``E_margin`` must be finite and
-    > 0 (``ValueError`` otherwise).  The ensemble's real-point rule holds at
-    sigma^2 E_margin: within ``NEAR_FACTOR`` x ``REAL_GAP`` of lambda_1 the
-    resolvent comes from the eigenpairs, within ``REAL_GAP`` the call raises
+    > 0 (``ValueError`` otherwise).  sigma^2 is the ensemble's mean
+    eigenvalue, the unit of its real-point rule, so the rule reads E_margin
+    whatever the scale of A: below ``NEAR_FACTOR`` x ``REAL_GAP`` the
+    resolvent comes from the eigenpairs, below ``REAL_GAP`` the call raises
     ``NearSingular``.
     """
     A = np.asarray(raw_data, dtype=float)
@@ -250,18 +251,15 @@ def sphericity_test(
     if not (math.isfinite(E_margin) and E_margin > 0.0):
         raise ValueError(f"E_margin must be finite and > 0, got {E_margin}")
 
-    flat = A.ravel()
-    sigma_sq = float(flat @ flat) / n
-    if not math.isfinite(sigma_sq):
-        raise DegenerateData("data matrix has a non-finite scale")
-    if sigma_sq <= 0.0:
-        raise DegenerateData("data matrix has zero scale")
-
     ens = SampleEnsemble.from_data(PopulationModel.identity(n), A)
+    sigma_sq = ens.mean_eigenvalue
+    if not (math.isfinite(sigma_sq) and sigma_sq > 0.0):
+        raise DegenerateData(f"data matrix has scale {sigma_sq}; need a finite scale > 0")
+
     E = ens.lambda_1 / sigma_sq + E_margin
     z = sigma_sq * E
-    R = _resolvent_forms(ens, [u, v], z)
-    gap = sigma_sq * float((R[0, 0] - R[1, 1]).real)
+    Y, w = _resolvent_parts(ens, [u, v], z)
+    gap = sigma_sq * float(((Y[0] * w) @ Y[0] - (Y[1] * w) @ Y[1]).real)
     m_hat = sigma_sq * m2c_hat(ens, z).real
     m_prime_hat = sigma_sq**2 * m2c_hat_prime(ens, z).real
 

@@ -17,7 +17,7 @@ overwrites the same n x N array, so no trial maps fresh memory for its data.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,9 +45,9 @@ __all__ = [
 ]
 
 MAX_DESK_N = 4000
-# a real point within REAL_GAP of an eigenvalue is singular for the resolvent
-# and the plug-in sums; the Cholesky route hands over to the eigenpairs
-# NEAR_FACTOR times further out
+# a real point within REAL_GAP mean eigenvalues of an eigenvalue is singular
+# for the resolvent and the plug-in sums, whatever the scale of the data; the
+# Cholesky route hands over to the eigenpairs NEAR_FACTOR times further out
 REAL_GAP = 1e-8
 NEAR_FACTOR = 100.0
 
@@ -64,7 +64,8 @@ class SampleEnsemble:
     already computed, are used as they are and never recomputed.  ``None``
     for both means "decompose when asked".  Until then, a resolvent at a
     real point above the spectrum comes from a Cholesky factor of E - Q1
-    (see ``resolvent_bilinear``), cached for the last such E.
+    (see ``resolvent_bilinear``), cached for the last such E.  Read for its
+    eigenvalues alone, an ensemble keeps Q1 for a later factor or ``eigh``.
     """
 
     def __init__(
@@ -108,6 +109,12 @@ class SampleEnsemble:
             eigenvectors=None,
         )
 
+    @cached_property
+    def mean_eigenvalue(self) -> float:
+        """tr(Q1) / n = |B|_F^2 / n, the unit of ``REAL_GAP``."""
+        flat = self.sqrt_X.ravel()
+        return float(flat @ flat) / len(self.sqrt_X)
+
     def _q1(self, consume: bool) -> np.ndarray:
         """Q1 = B B^T, formed once and kept until a reader consumes it: the
         Cholesky factor overwrites it, and after ``eigh`` nothing reads it."""
@@ -144,7 +151,7 @@ class SampleEnsemble:
         below the spectrum), or inverse iteration puts lambda_1 that close.
         Kept for the last E asked."""
         if self._factor is None or self._factor[0] != E:
-            near = NEAR_FACTOR * REAL_GAP
+            near = NEAR_FACTOR * REAL_GAP * self.mean_eigenvalue
             known = self._eigenvalues is not None
             L = None
             if not known or E - self._eigenvalues[0] >= near:
@@ -249,40 +256,40 @@ def vesd_eval(ens: SampleEnsemble, u: np.ndarray, x: float) -> float:
 def resolvent_bilinear(
     ens: SampleEnsemble, u: np.ndarray, v: np.ndarray, z: complex
 ) -> complex:
-    """u^T (Q1 - z)^{-1} v (see ``_resolvent_forms``)."""
+    """u^T (Q1 - z)^{-1} v (see ``_resolvent_parts``)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     # R_vv needs one solve: with u is v, the one column serves both sides
-    return complex(_resolvent_forms(ens, [u] if u is v else [u, v], z)[0, -1])
+    Y, w = _resolvent_parts(ens, [u] if u is v else [u, v], z)
+    return complex((Y[0] * w) @ Y[-1])
 
 
-def _resolvent_forms(ens: SampleEnsemble, vectors: list[np.ndarray], z: complex) -> np.ndarray:
-    """a^T (Q1 - z)^{-1} b for every pair (a, b) of the few ``vectors``.
+def _resolvent_parts(ens: SampleEnsemble, vectors: list[np.ndarray], z: complex) -> tuple:
+    """(Y, w) with a_i^T (Q1 - z)^{-1} a_j = (Y[i] * w) @ Y[j] for the few ``vectors``.
 
     At a real z = E safely above the spectrum of an ensemble not yet
-    decomposed: -(L^{-1} a) . (L^{-1} b), from the factor E - Q1 = L L^T kept
-    for that E and one triangular solve against all the vectors.  Otherwise:
-    spectral sums over the eigenpairs, under the real-point rule.
+    decomposed: Y = L^{-1} [a_i] and w = -1, from the factor E - Q1 = L L^T
+    kept for that E and one triangular solve.  Otherwise: Y the projections
+    on the eigenvectors and w = 1 / (lambda - z), under the real-point rule.
     """
     z = complex(z)
     if z.imag == 0.0 and ens._eigenvectors is None:
         L = ens._factor_at(z.real)
         if L is not None:
-            Y = _lower_solve(L, np.column_stack(vectors)).T
-            return np.array([[-float(a @ b) for b in Y] for a in Y], dtype=complex)
+            return _lower_solve(L, np.column_stack(vectors)).T, -1.0
     # projections first: the eigenvalues of the sum come from the same eigh
-    P = [ens.projections(w) for w in vectors]
-    lam = ens.eigenvalues
+    Y = np.array([ens.projections(a) for a in vectors])
     if z.imag == 0.0:
-        _require_clear(lam, z.real)
-    F = np.array([[np.sum(a * b / (lam - z)) for b in P] for a in P])
-    return F.real + 0.0j if z.imag == 0.0 else F
+        _require_clear(ens, ens.eigenvalues, z.real)
+        return Y, 1.0 / (ens.eigenvalues - z.real)
+    return Y, 1.0 / (ens.eigenvalues - z)
 
 
-def _require_clear(lam: np.ndarray, E: float) -> None:
+def _require_clear(ens: SampleEnsemble, lam: np.ndarray, E: float) -> None:
     """The real-point rule: ``NearSingular`` within ``REAL_GAP`` of ``lam``."""
-    if float(np.min(np.abs(lam - E))) < REAL_GAP:
-        raise NearSingular(f"real z = {E} within {REAL_GAP:g} of the spectrum")
+    gap = REAL_GAP * ens.mean_eigenvalue
+    if float(np.min(np.abs(lam - E))) <= gap:
+        raise NearSingular(f"real z = {E} within {gap:g} of the spectrum")
 
 
 def _factor_above(Q1: np.ndarray, E: float) -> np.ndarray:
@@ -440,7 +447,7 @@ def _plug_in_sum(ens: SampleEnsemble, z: complex, p: int) -> complex:
     z = complex(z)
     lam = ens.q2_eigenvalues()
     if z.imag == 0.0:
-        _require_clear(lam, z.real)
+        _require_clear(ens, lam, z.real)
         return complex(float(np.mean(1.0 / (lam - z.real) ** p)))
     return complex(np.mean(1.0 / (lam - z) ** p))
 
@@ -459,8 +466,7 @@ def kappa4_hat(ens: SampleEnsemble, mode: str = "pooled") -> FourthCumulantProfi
         val = float(N / n * np.sum(A2 * A2) - 3.0)
         return FourthCumulantProfile.constant(max(val, -2.0))
     if mode == "per-row":
-        flat = A.ravel()
-        vals = _row_kappa4(A, float(flat @ flat) / n)
+        vals = _row_kappa4(A, ens.mean_eigenvalue)
         return FourthCumulantProfile.per_row(np.maximum(vals, -2.0))
     raise ValueError(f"unknown kappa4 mode {mode!r}")
 

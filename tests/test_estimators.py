@@ -248,14 +248,21 @@ class TestSphericity:
             hits += v.reject
         assert hits >= 9
 
-    def test_scale_invariance_bitwise(self):
+    def test_scale_invariance_bitwise(self, monkeypatch):
+        # the real-point rule is measured in sigma^2, so a small scale keeps
+        # the Cholesky route and the verdict
         data = self._data(seed=3)
         u, v = _e(200), _e(200, 1)
         v1 = a.sphericity_test(data, u, v)
-        v2 = a.sphericity_test(2.7 * data, u, v)
-        assert v1.decision == v2.decision
-        assert v1.statistic == pytest.approx(v2.statistic, rel=1e-9)
-        assert v1.threshold == pytest.approx(v2.threshold, rel=1e-9)
+        calls = _count_linalg(monkeypatch)
+        for scale in (2.7, 1e-3, 1e-6):
+            calls.update(dict.fromkeys(calls, 0))
+            v2 = a.sphericity_test(scale * data, u, v)
+            assert calls == ONE_GRAM_ONE_FACTOR, scale
+            assert v1.decision == v2.decision
+            assert v2.rescale_sigma_sq == pytest.approx(scale**2 * v1.rescale_sigma_sq, rel=1e-12)
+            for key in ("statistic", "threshold", "gamma_sq", "E", "m2c_hat", "m2c_prime_hat", "kappa4_max"):
+                assert getattr(v2, key) == pytest.approx(getattr(v1, key), rel=1e-9), (scale, key)
 
     def test_threshold_decision_consistency(self):
         data = self._data(seed=4)

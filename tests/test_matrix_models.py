@@ -288,6 +288,21 @@ class TestCholeskyRoute:
         with pytest.raises(a.NearSingular):
             a.resolvent_bilinear(ens, v, v, E)
 
+    def test_the_rule_is_measured_in_the_mean_eigenvalue(self, monkeypatch):
+        # on the data times 1e-4 the singular and hand-over bands shrink by
+        # 1e-8 with the spectrum: the same relative offsets do the same
+        ens = _spiked(a.EntryDistribution.gaussian(), seed=25)
+        small = a.SampleEnsemble.from_data(ens.model, 1e-4 * ens.sqrt_X)
+        ref = _decomposed(small)
+        unit = small.mean_eigenvalue
+        v = np.eye(ens.n)[0]
+        with pytest.raises(a.NearSingular):
+            a.resolvent_bilinear(ref, v, v, ref.lambda_1 + 1e-10 * unit)
+        E = ref.lambda_1 + 1e-7 * unit
+        eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+        assert a.resolvent_bilinear(small, v, v, E) == a.resolvent_bilinear(ref, v, v, E)
+        assert len(eigh) == 1
+
     def test_just_outside_the_gap_hands_over(self, monkeypatch):
         # lambda_1 + 1e-7 is clear of the 1e-8 singular band but inside the
         # hand-over margin, so the value is the eigenpair route's, bit for bit
