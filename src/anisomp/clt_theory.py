@@ -27,11 +27,10 @@ from .mp_law import (
     TAU,
     PopulationSpectrum,
     _atoms,
+    _arcsine_rule,
     _defect_grid,
-    _gl,
     _m_prime,
     as_unit_vector,
-    m2c_derivative,
     solve_m2c,
     solve_m2c_grid,
     support_bulks,
@@ -125,19 +124,13 @@ def _m_at(z: complex, pop: Population) -> complex:
     return solve_m2c(z, pop.spectrum).m
 
 
-def _m_prime_at(z: complex, pop: Population) -> complex:
-    z = complex(z)
-    if z.imag < 0:
-        return np.conj(m2c_derivative(np.conj(z), pop.spectrum))
-    return m2c_derivative(z, pop.spectrum)
+def _m_pair(z1: complex, z2: complex, pop: Population) -> tuple[complex, complex]:
+    """m(z1) and m(z2), solved once when the points are equal."""
+    m1 = _m_at(z1, pop)
+    return m1, m1 if z2 == z1 else _m_at(z2, pop)
 
 
 OMEGA = 1e-2  # the lower end of the paper's spectral domain: an outside E is at least OMEGA
-
-
-def _require_outside(E: float, pop: Population) -> None:
-    if E < OMEGA or support_distance(E, pop.spectrum) < TAU:
-        raise OutsideDomain(f"E = {E} is not at distance >= {TAU} from the support")
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +183,7 @@ def alpha_hat(
 ) -> complex:
     """Complex fourth-cumulant kernel for the resolvent process."""
     v1, v2 = as_unit_vector(v1), as_unit_vector(v2)
-    return _alpha_hat_at(z1, z2, _m_at(z1, pop), _m_at(z2, pop), v1, v2, pop, kappa)
+    return _alpha_hat_at(z1, z2, *_m_pair(z1, z2, pop), v1, v2, pop, kappa)
 
 
 def _alpha_hat_at(
@@ -215,21 +208,23 @@ def beta_hat(
     m'(z1) when the arguments coincide."""
     v1, v2 = as_unit_vector(v1), as_unit_vector(v2)
     z1, z2 = complex(z1), complex(z2)
-    m1 = _m_at(z1, pop)
-    if abs(z1 - z2) < 1e-10:
-        dq = _m_prime_at(z1, pop)
-        m2 = m1
-    else:
-        m2 = _m_at(z2, pop)
-        dq = (m1 - m2) / (z1 - z2)
-    return _beta_hat_at(z1, z2, m1, m2, dq, v1, v2, pop)
+    return _beta_hat_at(z1, z2, *_m_pair(z1, z2, pop), v1, v2, pop)
 
 
 def _beta_hat_at(
-    z1: complex, z2: complex, m1: complex, m2: complex, dq: complex, v1: np.ndarray,
-    v2: np.ndarray, pop: Population,
+    z1: complex, z2: complex, m1: complex, m2: complex, v1: np.ndarray, v2: np.ndarray,
+    pop: Population,
 ) -> complex:
-    """``beta_hat`` from m1 = m(z1), m2 = m(z2) and their difference quotient dq."""
+    """``beta_hat`` from m1 = m(z1) and m2 = m(z2); points within 1e-10 count
+    as one, with m1 on both sides and m'(z1) as the difference quotient."""
+    if abs(z1 - z2) < 1e-10:
+        m2 = m1
+        if z1.imag < 0:
+            dq = np.conj(_m_prime(np.conj(m1), np.conj(z1), pop.spectrum))
+        else:
+            dq = _m_prime(m1, z1, pop.spectrum)
+    else:
+        dq = (m1 - m2) / (z1 - z2)
     c = pop.model.sigma_bilinear(m1, m2, v1, v2)
     return complex(2.0 * dq / (z1 * z2) * c**2)
 
@@ -253,13 +248,8 @@ def resolvent_covariance(
     ``local``: the indicator-gated bulk covariance at real E with scale
     directions w1, w2.  ``outside``: the real variance kernel at E at least
     TAU off the support (raises OutsideDomain otherwise), alpha_hat +
-    beta_hat at (E, E) from one solve of m(E).
+    beta_hat at (E, E).  Each point's m is solved once.
     """
-    if mode == "global":
-        if z1 is None or z2 is None:
-            raise ValueError("global mode needs z1, z2")
-        kappa = kappa or FourthCumulantProfile.gaussian()
-        return alpha_hat(z1, z2, v1, v2, pop, kappa) + beta_hat(z1, z2, v1, v2, pop)
     if mode == "local":
         if E is None or w1 is None or w2 is None:
             raise ValueError("local mode needs E, w1, w2")
@@ -271,16 +261,20 @@ def resolvent_covariance(
     if mode == "outside":
         if E is None:
             raise ValueError("outside mode needs E")
-        kappa = kappa or FourthCumulantProfile.gaussian()
-        _require_outside(E, pop)
-        v1, v2 = as_unit_vector(v1), as_unit_vector(v2)
-        z = complex(E)
-        m = _m_at(z, pop)
-        val = _alpha_hat_at(z, z, m, m, v1, v2, pop, kappa) + _beta_hat_at(
-            z, z, m, m, _m_prime(m, z, pop.spectrum), v1, v2, pop
-        )
-        return float(np.real(val))
-    raise ValueError(f"unknown mode {mode!r}")
+        if E < OMEGA or support_distance(E, pop.spectrum) < TAU:
+            raise OutsideDomain(f"E = {E} is not at distance >= {TAU} from the support")
+        z1 = z2 = E
+    elif mode != "global":
+        raise ValueError(f"unknown mode {mode!r}")
+    elif z1 is None or z2 is None:
+        raise ValueError("global mode needs z1, z2")
+    kappa = kappa or FourthCumulantProfile.gaussian()
+    v1, v2 = as_unit_vector(v1), as_unit_vector(v2)
+    z1, z2 = complex(z1), complex(z2)
+    m1, m2 = _m_pair(z1, z2, pop)
+    val = _alpha_hat_at(z1, z2, m1, m2, v1, v2, pop, kappa)
+    val += _beta_hat_at(z1, z2, m1, m2, v1, v2, pop)
+    return float(np.real(val)) if mode == "outside" else val
 
 
 def variance_positivity(
@@ -295,20 +289,6 @@ def variance_positivity(
     if val < -1e-12:
         raise PositivityViolation(f"variance kernel evaluated to {val} < -1e-12")
     return val
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-
-
-def _gl_panels(lo: float, hi: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = _gl(order)
-    bounds = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (bounds[:-1] + bounds[1:])
-    half = 0.5 * (bounds[1:] - bounds[:-1])
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    return x, w
 
 
 # ---------------------------------------------------------------------------
@@ -332,21 +312,15 @@ def _support_nodes(
     """Quadrature nodes/weights over the support bulks plus m and m' on the
     nodes, as read-only arrays.
 
-    Each bulk is mapped through x = mid + half*sin(t), which absorbs the
-    square-root edge factors; the integrands of the covariance formulas all
-    vanish identically off the support, so no exterior panels are needed.
-    Every bulk holds whole 16-node Gauss panels and the nodes ascend, so the
-    rows that ``solve_m2c_grid`` marches are exactly these panels, at
+    Each bulk takes ``mp_law._arcsine_rule``, which absorbs the square-root
+    edge factors; the integrands of the covariance formulas all vanish
+    identically off the support, so no exterior panels are needed.  The
+    rows that ``solve_m2c_grid`` marches are exactly the rule's panels, at
     eta = 0: m is the boundary value m(x + i0), and m' = -1/h'(m) comes from
     the solver's defect derivative.  Cached: a family of covariances on one
     spectrum solves once.
     """
-    xs, ws = [], []
-    for lo, hi, panels in bulks:
-        t, wt = _gl_panels(-math.pi / 2, math.pi / 2, panels, 16)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xs.append(mid + half * np.sin(t))
-        ws.append(wt * half * np.cos(t))
+    xs, ws = zip(*(_arcsine_rule(lo, hi, panels) for lo, hi, panels in bulks))
     x = np.concatenate(xs)
     vals, wts = _atoms(spectrum)
     m = solve_m2c_grid(x, 0.0, spectrum)
@@ -390,31 +364,34 @@ def linear_stat_covariance(
     beta vanishes on the diagonal, so no principal value is needed.  Only
     the nodes inside supp f_i U supp f_j enter the sums, so the cost scales
     with those nodes: the beta term with their square, the other two terms
-    linearly.  The error estimate is the change of the value when every bulk
-    has half its panels, plus 1e-9 of the value.  ``local`` evaluates the
-    single-scale product formula at E, which is eta-free.
+    linearly.  ``local`` evaluates the single-scale product formula at E,
+    which is eta-free, with the integral of f_i f_j by ``mp_law._arcsine_rule``
+    (16 panels) on supp f_i & supp f_j, 0 if they do not overlap.  The error
+    estimate of both is the change of the value when the rule has half its
+    panels, plus 1e-9 of the value.
     """
     v_i, v_j = as_unit_vector(v_i), as_unit_vector(v_j)
     if mode == "local":
-        if support_distance(E, pop.spectrum) > 0.0:
+        lo = max(f_i.support[0], f_j.support[0])
+        hi = min(f_i.support[1], f_j.support[1])
+        if hi <= lo or support_distance(E, pop.spectrum) > 0.0:
             return CovarianceValue("local", 0.0, 0.0)
         m = _m_at(complex(E, 0.0), pop)
         rho = max(m.imag / math.pi, 0.0)
         c = pop.model.sigma_bilinear(m, np.conj(m), v_i, v_j)
-        lo = min(f_i.support[0], f_j.support[0])
-        hi = max(f_i.support[1], f_j.support[1])
-        u, wu = _gl_panels(lo, hi, 64, 8)
-        ff = float(np.sum(wu * f_i(u) * f_j(u)))
-        val = 2.0 * rho / E**2 * float(np.real(c**2)) * ff
-        return CovarianceValue("local", val, abs(val) * 1e-10 + 1e-14)
-    if mode != "global":
+        scale = 2.0 * rho / E**2 * float(np.real(c**2))
+        value, coarse = (
+            scale * float(np.sum(w * f_i(u) * f_j(u)))
+            for u, w in (_arcsine_rule(lo, hi, 16), _arcsine_rule(lo, hi, 8))
+        )
+    elif mode == "global":
+        bulks = _bulk_panels(pop, grid_points)
+        value = _global_covariance(f_i, f_j, v_i, v_j, pop, kappa, bulks)
+        halved = tuple((lo, hi, panels // 2) for lo, hi, panels in bulks)
+        coarse = _global_covariance(f_i, f_j, v_i, v_j, pop, kappa, halved)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    bulks = _bulk_panels(pop, grid_points)
-    value = _global_covariance(f_i, f_j, v_i, v_j, pop, kappa, bulks)
-    halved = tuple((lo, hi, panels // 2) for lo, hi, panels in bulks)
-    coarse = _global_covariance(f_i, f_j, v_i, v_j, pop, kappa, halved)
-    return CovarianceValue("global", value, abs(value - coarse) + 1e-9 * abs(value))
+    return CovarianceValue(mode, value, abs(value - coarse) + 1e-9 * abs(value))
 
 
 def _global_covariance(

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DegenerateData, OutsideDomain, ResolventDegenerate
 from .matrix_models import (
     SampleEnsemble,
+    _above_spectrum,
     _resolvent_parts,
     _row_kappa4,
     kappa4_hat,
@@ -192,7 +193,7 @@ def _invert_resolvent(
     r = float(np.real(resolvent_bilinear(ens, v, v, E)))
     if abs(r) < 1e-12:
         raise ResolventDegenerate("R_vv(E) vanished; cannot invert")
-    if (ens._eigenvectors is not None or ens._factor_at(E) is None) and E <= ens.lambda_1 + 1e-9:
+    if not _above_spectrum(ens, E):
         raise OutsideDomain(f"E = {E} inside the sample spectrum")
     m = float(np.real(m))
     m_prime = float(np.real(m_prime))

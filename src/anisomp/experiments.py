@@ -414,10 +414,13 @@ def run_linear_stat_check(cfg: ExperimentConfig) -> ExperimentReport:
             pred = linear_stat_covariance(
                 cfg.mode, f, f, v, v, E, eta, pop, cfg.distribution.kappa4
             )
+            # z_statistic is centred by the finite-N direction law: mean 0
             report.predicted[lab] = {
                 "value": pred.value,
                 "error_estimate": pred.error_estimate,
                 "source": f"anisomp.clt_theory.linear_stat_covariance[{cfg.mode}]",
+                "mean": 0.0,
+                "mean_source": "anisomp.matrix_models._centering_integral",
             }
             stat, p = normality_test(x)
             report.normality[lab] = {"statistic": stat, "p_value": p}

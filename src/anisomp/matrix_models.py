@@ -22,8 +22,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import EigenFailure, NearSingular, QuadratureFailure
-from .mp_law import _direction_density, as_unit_vector, solve_m2c_grid, support_bulks
-from .clt_theory import TestFunction, _gl_panels, _m_at
+from .mp_law import _arcsine_rule, _direction_density, as_unit_vector, solve_m2c_grid, support_bulks
+from .clt_theory import TestFunction, _m_at
 from .populations import (
     EntryDistribution,
     FourthCumulantProfile,
@@ -285,6 +285,15 @@ def _resolvent_parts(ens: SampleEnsemble, vectors: list[np.ndarray], z: complex)
     return Y, 1.0 / (ens.eigenvalues - z)
 
 
+def _above_spectrum(ens: SampleEnsemble, E: float) -> bool:
+    """Whether E lies above the spectrum of Q1: the factor of E - Q1 cached
+    for E exists, else E > lambda_1 (within ``REAL_GAP`` mean eigenvalues of
+    lambda_1 the resolvent at E has already raised ``NearSingular``)."""
+    if ens._eigenvectors is None and ens._factor_at(E) is not None:
+        return True
+    return E > ens.lambda_1
+
+
 def _require_clear(ens: SampleEnsemble, lam: np.ndarray, E: float) -> None:
     """The real-point rule: ``NearSingular`` within ``REAL_GAP`` of ``lam``."""
     gap = REAL_GAP * ens.mean_eigenvalue
@@ -404,28 +413,20 @@ def _centering_integral(
     E: float,
     eta: float,
 ) -> float:
-    """integral f((x-E)/eta) dF_{1c,v}(x) by 48 Gauss panels over supp f,
-    with the boundary values m(x + i0) of ``solve_m2c_grid`` at eta = 0.
-
-    Deterministic per (population, direction weights, f, E, eta); cached so
-    Monte-Carlo sweeps pay for the quadrature once.
+    """integral f((x-E)/eta) dF_{1c,v}(x), the centering of ``z_statistic``,
+    by ``mp_law._arcsine_rule`` (24 panels) on each piece bulk & (E + eta
+    supp f), where the direction law can be nonzero, with the boundary
+    values m(x + i0) of ``solve_m2c_grid``.  Cached per (population,
+    direction weights, f, E, eta): Monte-Carlo sweeps pay for it once.
     """
-    lo_u, hi_u = f.support
-    lo, hi = E + eta * lo_u, E + eta * hi_u
-    if hi <= 0.0:
-        return 0.0
-    lo = max(lo, 1e-12)
-    # the direction law is exactly zero off the support bulks
-    pieces = []
+    lo, hi = (E + eta * u for u in f.support)
+    total = 0.0
     for b_lo, b_hi in support_bulks(spectrum):
         p_lo, p_hi = max(lo, b_lo), min(hi, b_hi)
         if p_hi > p_lo:
-            pieces.append((p_lo, p_hi))
-    total = 0.0
-    for p_lo, p_hi in pieces:
-        u, wu = _gl_panels(p_lo, p_hi, 48, 8)
-        dens = _direction_density(u, solve_m2c_grid(u, 0.0, spectrum), sig, wts)
-        total += float(np.sum(wu * f((u - E) / eta) * dens))
+            x, w = _arcsine_rule(p_lo, p_hi, 24)
+            dens = _direction_density(x, solve_m2c_grid(x, 0.0, spectrum), sig, wts)
+            total += float(np.sum(w * f((x - E) / eta) * dens))
     if not np.isfinite(total):
         raise QuadratureFailure("centering integral did not evaluate finitely")
     return total

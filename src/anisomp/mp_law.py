@@ -423,11 +423,12 @@ def _solve_panels(energies: np.ndarray, eta: float, pop: PopulationSpectrum) -> 
     before it.  The first column, and at eta = 0 (the boundary value
     m(E + i0)) a point off the support, start from the eta ladder to
     E + i*(eta or ETA0); such a point's root is real, and it starts from Re m
-    because a warm start can reach another real root.  A later point that
-    ``_off_branch`` flags, or at eta = 0 a point inside with Im m <= 0 (a real
-    root), starts again from the ladder.  One last Newton step polishes every
-    point: near an edge z'(m) is small, and the first iterate inside the
-    tolerance can still be 1e-9 off.
+    because a warm start can reach another real root; at eta > 0 the ladder
+    has converged at E + i*eta, so the first column is taken as it is.  A
+    later point that ``_off_branch`` flags, or at eta = 0 a point inside with
+    Im m <= 0 (a real root), starts again from the ladder.  One last Newton
+    step polishes every point: near an edge z'(m) is small, and the first
+    iterate inside the tolerance can still be 1e-9 off.
     """
     E = np.asarray(energies, dtype=float)
     vals, wts = _atoms(pop)
@@ -445,6 +446,9 @@ def _solve_panels(energies: np.ndarray, eta: float, pop: PopulationSpectrum) -> 
         start = m[:, j - 1].copy()
         if fresh.any():
             start[fresh] = _solve_ladder_grid(E[fresh, j], rung, pop)
+        if j == 0 and eta > 0.0:
+            m[:, 0] = start
+            continue
         start = np.where(off[:, j], start.real + 0j, start)
         m[:, j], res = _newton_grid(start, z[:, j], d, vals, wts)
         real_root = (eta == 0.0) & ~off[:, j] & (m[:, j].imag <= 0.0)
@@ -598,6 +602,22 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
+def _arcsine_rule(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one Gauss rule for integrals against the law, (x, w) on [lo, hi]:
+    ``panels`` equal 16-node panels in t on [-pi/2, pi/2], mapped through
+    x = mid + half*sin(t), w = w_t*half*cos(t).  The map absorbs a square
+    root at either end (a density's at a bulk edge).  The nodes ascend, 16
+    to a panel, so ``solve_m2c_grid`` marches the panels as its rows."""
+    nodes, weights = _gl(16)
+    bounds = np.linspace(-math.pi / 2, math.pi / 2, panels + 1)
+    t_mid = 0.5 * (bounds[:-1] + bounds[1:])
+    t_half = 0.5 * (bounds[1:] - bounds[:-1])
+    t = (t_mid[:, None] + t_half[:, None] * nodes[None, :]).ravel()
+    w_t = (t_half[:, None] * weights[None, :]).ravel()
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid + half * np.sin(t), w_t * half * np.cos(t)
+
+
 @dataclass(frozen=True)
 class _BulkQuadrature:
     """Composite Gauss data for one bulk, in the arcsine variable t.
@@ -626,18 +646,15 @@ class _BulkQuadrature:
 def _bulk_mass_panels(
     pop: PopulationSpectrum, lo: float, hi: float, panels: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    nodes, weights = _gl(16)
-    t_bounds = np.linspace(-math.pi / 2, math.pi / 2, panels + 1)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x, w = _arcsine_rule(lo, hi, panels)
     # (panels, 16): row k holds panel k's Gauss nodes, ascending in t and x
-    t_all = 0.5 * (t_bounds[:-1] + t_bounds[1:])[:, None] + 0.5 * np.diff(t_bounds)[:, None] * nodes
-    m_all = _solve_panels(mid + half * np.sin(t_all), 0.0, pop)
-    integrand = np.maximum(m_all.imag, 0.0) / math.pi * (half * np.cos(t_all))
-    per_panel = integrand @ weights * (0.5 * (t_bounds[1:] - t_bounds[:-1]))
-    cum = np.concatenate([[0.0], np.cumsum(per_panel)])
+    m_all = _solve_panels(x.reshape(panels, 16), 0.0, pop)
+    mass = np.maximum(m_all.imag, 0.0) / math.pi * w.reshape(panels, 16)
+    cum = np.concatenate([[0.0], np.cumsum(mass.sum(axis=1))])
+    t_bounds = np.linspace(-math.pi / 2, math.pi / 2, panels + 1)
     # Gauss projection onto P_0..P_15 is exact for the degree-15 interpolant
-    proj = weights[:, None] * np.polynomial.legendre.legvander(nodes, 15) * (np.arange(16) + 0.5)
-    return t_bounds, cum, integrand @ proj, float(cum[-1])
+    proj = np.polynomial.legendre.legvander(_gl(16)[0], 15) * (np.arange(16) + 0.5)
+    return t_bounds, cum, mass @ proj / (0.5 * np.diff(t_bounds))[:, None], float(cum[-1])
 
 
 def _series_tail(t_bounds: np.ndarray, coeffs: np.ndarray) -> float:

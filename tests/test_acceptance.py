@@ -204,7 +204,8 @@ def test_criterion_5_fourth_moment_sensitivity(outside_clt_gaussian):
     )
 
 
-def test_criterion_6_local_linear_statistic():
+@pytest.fixture(scope="module")
+def local_linear_statistic():
     n, N = 1000, 2000
     eta = N ** (-0.5)
     f = a.TestFunction(kind="bump", center=1.0, width=1.0)  # support in (0, 2)
@@ -222,12 +223,27 @@ def test_criterion_6_local_linear_statistic():
         vectors=(("e1", v),),
         functions=(f,),
     )
-    rep = run_linear_stat_check(cfg)
+    return run_linear_stat_check(cfg)
+
+
+def test_criterion_6_local_linear_statistic(local_linear_statistic):
+    rep = local_linear_statistic
     st = rep.stats["e1|f0"]
     pred = rep.predicted["e1|f0"]["value"]
     ratio = st["variance"] / pred
     assert 0.8 <= ratio <= 1.2, (st, pred)
     print(f"\n[criterion 6] PASS: local linear statistic variance ratio {ratio:.3f}")
+
+
+def test_local_linear_statistic_mean(local_linear_statistic):
+    # the statistic is centred by the finite-N direction law, so its
+    # predicted mean is 0; criterion 6's own trials check it
+    rep = local_linear_statistic
+    st = rep.stats["e1|f0"]
+    pred = rep.predicted["e1|f0"]
+    assert pred["mean"] == 0.0 and pred["mean_source"].startswith("anisomp.")
+    assert abs(st["mean"] - pred["mean"]) <= 3.0 * st["se_mean"], st
+    print(f"\n[criterion 6] mean {st['mean']:+.4f} ({st['mean'] / st['se_mean']:+.2f} se)")
 
 
 def test_criterion_7_coverage():

@@ -343,6 +343,28 @@ class TestLinearStatCovariance:
         want = 2.0 * rho / E**2 * (1.0 / abs(1 + m) ** 2) ** 2 * ff
         assert got.value == pytest.approx(want, rel=1e-6)
 
+    def test_local_cross_pair_on_the_overlap(self):
+        # the theory benchmark's pair: bump(1, 0.5) x bump(2, 0.7) overlap on
+        # [1.3, 1.5] only; Sigma = I, d = 1/2, a unit direction
+        from scipy.integrate import quad
+
+        f = a.TestFunction(kind="bump", center=1.0, width=0.5)
+        g = a.TestFunction(kind="bump", center=2.0, width=0.7)
+        pop, v, E = _pop(n=24, N=48), _unit(24), 1.2
+        got = a.linear_stat_covariance("local", f, g, v, v, E, 0.0, pop, K4.gaussian())
+        m = a.null_mp_m2c(E, 0.5)
+        fg = quad(lambda u: f(u) * g(u), 1.3, 1.5, epsabs=0.0, epsrel=1e-13)[0]
+        want = 2.0 * (m.imag / math.pi) / E**2 / abs(1 + m) ** 4 * fg
+        assert got.value == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert abs(got.value - want) <= got.error_estimate
+
+    def test_local_disjoint_supports_zero(self):
+        far = a.TestFunction(kind="bump", center=3.0, width=0.5)
+        got = a.linear_stat_covariance(
+            "local", self.fi, far, self.v, self.v, 1.0, 0.02, self.pop, K4.gaussian()
+        )
+        assert (got.value, got.error_estimate) == (0.0, 0.0)
+
     def test_local_zero_function(self):
         zero = a.TestFunction(kind="poly_gauss", center=1.0, width=0.5, poly_coeffs=(0.0,))
         got = a.linear_stat_covariance(

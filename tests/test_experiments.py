@@ -199,6 +199,8 @@ class TestRunLinearStatCheck:
         rep = run_linear_stat_check(cfg)
         lab = "e1|f0"
         assert rep.predicted[lab]["value"] > 0.0
+        assert rep.predicted[lab]["mean"] == 0.0
+        assert rep.predicted[lab]["mean_source"].startswith("anisomp.")
         # crude sanity at tiny scale: within a factor of three
         assert 1 / 3 <= rep.stats[lab]["variance"] / rep.predicted[lab]["value"] <= 3
 

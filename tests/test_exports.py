@@ -1,7 +1,7 @@
 """Every name a module of the package lists in ``__all__`` exists, the
-package's count of options is pinned, only ``mp_law`` names ``ETA0`` and
-reads the layout of ``support_edges``, only ``matrix_models`` names the
-Cholesky route, and
+package's count of options is pinned, only ``mp_law`` names ``ETA0``,
+reads the layout of ``support_edges`` and builds Gauss nodes, only
+``matrix_models`` names the Cholesky route and an ensemble's route state, and
 importing the package and its CLI loads no SciPy and no process pool (nor,
 with a first ``support_edges`` call, ``numpy.ma``)."""
 
@@ -76,11 +76,17 @@ def test_only_mp_law_names_support_edges():
     assert _modules_naming("support_edges") == {"mp_law.py", "__init__.py"}
 
 
-@pytest.mark.parametrize("name", ["_factor_above", "_lower_solve"])
+@pytest.mark.parametrize("name", ["_factor_above", "_lower_solve", "_factor_at", "_eigenvectors"])
 def test_only_matrix_models_names_the_cholesky_route(name):
     # a resolvent at a real point above the spectrum has one path: the
-    # Cholesky factor a SampleEnsemble keeps for that point
+    # Cholesky factor a SampleEnsemble keeps for that point; which route an
+    # ensemble is on is its own state, read by no other module
     assert _modules_naming(name) == {"matrix_models.py"}
+
+
+def test_only_mp_law_builds_gauss_nodes():
+    # every integral against the law takes the one rule, mp_law._arcsine_rule
+    assert _modules_naming("_gl") == {"mp_law.py"}
 
 
 def test_import_loads_no_scipy():

@@ -414,6 +414,49 @@ class TestZStatistic:
         assert a.z_statistic(ens, v, f, 0.0, 1.0) == 0.0
 
 
+class TestCenteringIntegral:
+    """The mean of the law that centres ``z_statistic``, by value.  For
+    Sigma = I the direction law of every unit v is the Marchenko-Pastur law
+    of ratio d, density sqrt((x - lm)(lp - x))/(2 pi d x) on its bulk."""
+
+    # criterion 6's test function: bump(1, 1) on u in (0, 2), not even in u
+    F = a.TestFunction(kind="bump", center=1.0, width=1.0)
+    ETA6 = 2000 ** -0.5
+
+    @staticmethod
+    def _quad_reference(f, E, eta, d):
+        from scipy.integrate import quad
+
+        lp, lm = a.null_mp_edges(d)
+        ends = [x for x in (E + eta * s for s in f.support) if lm < x < lp]
+
+        def integrand(x):
+            return float(f((x - E) / eta)) * math.sqrt((x - lm) * (lp - x)) / (2 * math.pi * d * x)
+
+        return quad(integrand, lm, lp, points=ends or None, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+    @pytest.mark.parametrize("d", [0.5, 2.0])
+    @pytest.mark.parametrize(
+        "case",
+        ["global", "criterion 6", "meets upper edge, local", "meets upper edge, eta = 0.3"],
+    )
+    def test_matches_quadrature(self, d, case):
+        from anisomp.matrix_models import _centering_integral
+
+        lp = a.null_mp_edges(d)[0]
+        E, eta = {
+            "global": (0.0, 1.0),  # f((x - E)/eta) is cut by the lower edge
+            "criterion 6": (1.0, self.ETA6),
+            "meets upper edge, local": (lp - 0.5 * self.ETA6, self.ETA6),
+            "meets upper edge, eta = 0.3": (lp - 0.3, 0.3),
+        }[case]
+        spectrum = a.PopulationSpectrum.identity(10, d)
+        got = _centering_integral(spectrum, (1.0,), (1.0,), self.F, E, eta)
+        want = self._quad_reference(self.F, E, eta, d)
+        assert want > 0.0
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 class TestPlugInStieltjes:
     def test_direct_example(self):
         ens = a.SampleEnsemble(
