@@ -1,9 +1,19 @@
 """Command-line front door: laws, kernels, estimators and reproductions.
 
-Exit codes: 0 success, 2 parse/input error, 3 solver failure, 4 bad spectral
-parameter placement, 5 reproduction acceptance-band failure.  All numeric
-output is produced by the wrapped library operations; the CLI only parses
-and dispatches.
+Each subcommand parses its inputs, calls the library and writes the result;
+no subcommand catches an exception.  ``main`` is the one place that turns a
+failure into an exit code, and it writes one line to stderr:
+
+* 2, ``error: ...``: ``OSError`` or ``ValueError`` (bad input; a file that
+  cannot be read or written; a bad ``--config``);
+* 4, ``placement error: ...``: ``OutsideDomain``, ``NearSingular`` or
+  ``ResolventDegenerate`` (a spectral parameter inside or too near the
+  spectrum);
+* 3, ``solver failure: ...``: any other ``AnisompError``.
+
+0 is success and 5 a failed acceptance band of ``reproduce``; argparse
+exits 2 on a command line it cannot parse.  All numeric output is produced
+by the wrapped library operations.
 """
 
 from __future__ import annotations
@@ -19,12 +29,7 @@ import numpy as np
 
 from . import __version__
 from .clt_theory import CovarianceValue, resolvent_covariance, variance_positivity
-from .errors import (
-    AnisompError,
-    NearSingular,
-    OutsideDomain,
-    ResolventDegenerate,
-)
+from .errors import AnisompError, NearSingular, OutsideDomain, ResolventDegenerate
 from .estimators import estimate_population_eigenvalue, estimate_spike_strength, sphericity_test
 from .experiments import REPRODUCIBLE_NAMES, reproduce
 from .io import read_matrix
@@ -47,22 +52,33 @@ EXIT_BANDS = 5
 
 MAX_GRID_POINTS = 10**6
 
+# the settings of ``reproduce``: name -> (default, the JSON types a --config
+# file may give it); a flag overrides the file, which overrides the default
+REPRODUCE_SETTINGS = {
+    "seed": (1, (int,)),
+    "trials": (None, (int, type(None))),
+    "out_dir": (".", (str,)),
+    "full": (False, (bool,)),
+}
 
-def _workers(args) -> int:
-    if getattr(args, "workers", None):
-        return args.workers
-    return int(os.environ.get("ANISOMP_WORKERS", "1"))
+
+def _positive_int(text: str) -> int:
+    """argparse type of the counts --n and --N: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _load_spectrum(args) -> PopulationSpectrum:
     if args.spectrum:
         return read_spectrum_file(args.spectrum)
-    if args.identity:
-        if args.d is None:
-            raise ValueError("--identity requires --d")
-        n = args.n or max(int(round(args.d * (args.N or 100))), 1)
-        return PopulationSpectrum.identity(n, args.d)
-    raise ValueError("provide --spectrum FILE or --identity --d D")
+    if not args.identity:
+        raise ValueError("provide --spectrum FILE or --identity --d D")
+    if args.d is None or not math.isfinite(args.d):
+        raise ValueError("--identity requires a finite --d")
+    n = max(round(args.d * (100 if args.N is None else args.N)), 1) if args.n is None else args.n
+    return PopulationSpectrum.identity(n, args.d)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -116,18 +132,49 @@ def _normalised(v: np.ndarray, spec: str) -> np.ndarray:
     return as_unit_vector(v / nrm)
 
 
-def _fail(message: str, code: int) -> int:
-    """Write one line to stderr and return the exit code."""
-    print(message, file=sys.stderr)
-    return code
-
-
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    text = text if text.endswith("\n") else text + "\n"
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
+
+
+def _read_data(path) -> np.ndarray:
+    """The --data matrix; one with no rows or no columns, or with an entry
+    that is not finite, is an input error."""
+    data = read_matrix(path)
+    if data.size == 0:
+        raise ValueError(f"{path}: empty data matrix ({data.shape[0]} x {data.shape[1]})")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: every data entry must be finite")
+    return data
+
+
+def _reproduce_settings(args) -> dict:
+    """``REPRODUCE_SETTINGS`` merged: flags > --config file > defaults.  The
+    file must hold a JSON object whose keys are settings and whose values
+    have their setting's JSON types (ValueError otherwise)."""
+    config = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config}: expected a JSON object")
+        unknown = sorted(config.keys() - REPRODUCE_SETTINGS.keys())
+        if unknown:
+            raise ValueError(f"{args.config}: unknown settings {unknown}; "
+                             f"known: {list(REPRODUCE_SETTINGS)}")
+    settings = {}
+    for key, (default, types) in REPRODUCE_SETTINGS.items():
+        value = config.get(key, default)
+        if type(value) not in types:
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise ValueError(f"{args.config}: {key} must be {names}, got {value!r}")
+        flag = getattr(args, key)
+        settings[key] = value if flag is None else flag
+    return settings
 
 
 # ---------------------------------------------------------------------------
@@ -135,165 +182,79 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_mp_law(args) -> int:
-    try:
-        pop = _load_spectrum(args)
-        energies = _parse_grid(args.grid) if args.grid else None
-    except (OSError, ValueError) as exc:
-        return _fail(f"error: {exc}", EXIT_PARSE)
-    try:
-        if args.edges_only:
-            struct = support_structure(pop, args.N or 100)
-            payload = struct.to_dict()
-            if not args.N:
-                payload = {"edges": payload["edges"]}
-            _emit(args, json.dumps(payload, indent=2))
-            return EXIT_OK
-        if energies is None:
-            return _fail("error: provide --grid or --edges-only", EXIT_PARSE)
-        if args.eta == 0.0:
-            try:
-                _require_boundary_domain(energies)
-            except ValueError as exc:
-                return _fail(f"placement error: {exc}", EXIT_PLACEMENT)
-        # each point is solved on its own, so the rows are those of
-        # per-point solve_m2c and density_rho2c calls
-        m, _, rho = solve_m2c_points(energies, args.eta, pop)
-        lines = ["E,rho2c,re_m,im_m"]
-        for E, r, mm in zip(energies, rho, m):
-            lines.append(f"{E:.12g},{r:.12g},{mm.real:.12g},{mm.imag:.12g}")
-        _emit(args, "\n".join(lines))
+    pop = _load_spectrum(args)
+    energies = _parse_grid(args.grid) if args.grid else None
+    if args.edges_only:
+        payload = support_structure(pop, 100 if args.N is None else args.N).to_dict()
+        if args.N is None:
+            payload = {"edges": payload["edges"]}
+        _emit(args, json.dumps(payload, indent=2))
         return EXIT_OK
-    except ValueError as exc:  # e.g. |d - 1| < tau for the whole support, or eta < 0
-        return _fail(f"error: {exc}", EXIT_PARSE)
-    except AnisompError as exc:
-        return _fail(f"solver failure: {exc}", EXIT_SOLVER)
+    if energies is None:
+        raise ValueError("provide --grid or --edges-only")
+    if args.eta == 0.0:
+        try:
+            _require_boundary_domain(energies)
+        except ValueError as exc:  # E = 0 is a placement of the grid, not a parse error
+            raise OutsideDomain(str(exc)) from exc
+    # each point is solved on its own, so the rows are those of
+    # per-point solve_m2c and density_rho2c calls
+    m, _, rho = solve_m2c_points(energies, args.eta, pop)
+    rows = (f"{E:.12g},{r:.12g},{mm.real:.12g},{mm.imag:.12g}" for E, r, mm in zip(energies, rho, m))
+    _emit(args, "\n".join(["E,rho2c,re_m,im_m", *rows]))
+    return EXIT_OK
 
 
 def cmd_clt_kernel(args) -> int:
-    try:
-        pop_spec = _load_spectrum(args)
-        N = args.N or max(int(round(pop_spec.n / pop_spec.aspect_ratio)), 1)
-        model = PopulationModel.from_diagonal(np.asarray(pop_spec.eigenvalues))
-        pop = Population(model, N)
-        v1 = _unit_vector(args.v1, pop.n)
-        v2 = _unit_vector(args.v2 or args.v1, pop.n)
-        kappa = FourthCumulantProfile.constant(args.kappa)
-    except (OSError, ValueError) as exc:
-        return _fail(f"error: {exc}", EXIT_PARSE)
-    try:
-        if args.mode == "variance":
-            val = variance_positivity(args.E, v1, pop, kappa)
-            out = CovarianceValue("variance", val, 0.0)
-        elif args.mode == "outside":
-            val = resolvent_covariance("outside", pop, v1, v2, kappa=kappa, E=args.E)
-            out = CovarianceValue("outside", float(np.real(val)), 0.0)
-        elif args.mode == "global":
-            z1 = complex(args.z1) if args.z1 else complex(args.E, 1.0)
-            z2 = complex(args.z2) if args.z2 else np.conj(z1)
-            val = resolvent_covariance("global", pop, v1, v2, kappa=kappa, z1=z1, z2=z2)
-            out = {"mode": "global", "value": [val.real, val.imag], "error_estimate": 0.0}
-            _emit(args, json.dumps(out, indent=2))
-            return EXIT_OK
-        else:
-            return _fail(f"error: unknown kernel mode {args.mode!r}", EXIT_PARSE)
-        _emit(args, json.dumps(out.to_dict(), indent=2))
-        return EXIT_OK
-    except OutsideDomain as exc:
-        return _fail(f"placement error: {exc}", EXIT_PLACEMENT)
-    except AnisompError as exc:
-        return _fail(f"solver failure: {exc}", EXIT_SOLVER)
-
-
-def _read_data(path) -> np.ndarray:
-    """The --data matrix; one with no rows or no columns is a parse error."""
-    data = read_matrix(path)
-    if data.size == 0:
-        raise ValueError(f"{path}: empty data matrix ({data.shape[0]} x {data.shape[1]})")
-    return data
+    spec = _load_spectrum(args)
+    N = max(round(spec.n / spec.aspect_ratio), 1) if args.N is None else args.N
+    pop = Population(PopulationModel.from_diagonal(np.asarray(spec.eigenvalues)), N)
+    v1 = _unit_vector(args.v1, pop.n)
+    v2 = _unit_vector(args.v2 or args.v1, pop.n)
+    kappa = FourthCumulantProfile.constant(args.kappa)
+    if args.mode == "global":
+        z1 = complex(args.z1) if args.z1 else complex(args.E, 1.0)
+        z2 = complex(args.z2) if args.z2 else np.conj(z1)
+        val = resolvent_covariance("global", pop, v1, v2, kappa=kappa, z1=z1, z2=z2)
+        out = {"mode": "global", "value": [val.real, val.imag], "error_estimate": 0.0}
+    elif args.mode == "variance":
+        out = CovarianceValue("variance", variance_positivity(args.E, v1, pop, kappa), 0.0).to_dict()
+    else:
+        val = resolvent_covariance("outside", pop, v1, v2, kappa=kappa, E=args.E)
+        out = CovarianceValue("outside", val, 0.0).to_dict()
+    _emit(args, json.dumps(out, indent=2))
+    return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
-    try:
-        data = _read_data(args.data)
-        n, N = data.shape
-        v = _unit_vector(args.vector, n)
-    except (OSError, ValueError) as exc:
-        return _fail(f"error: {exc}", EXIT_PARSE)
-    try:
-        # Sigma of raw data is unknown; the model only labels the ensemble
-        ens = SampleEnsemble.from_data(PopulationModel.identity(n), data)
-        if args.method == "spike":
-            est = estimate_spike_strength(
-                ens, v, args.E, alpha=args.alpha, kappa_mode=args.kappa_mode
-            )
-        else:
-            est = estimate_population_eigenvalue(
-                ens, v, args.E, alpha=args.alpha, kappa_mode=args.kappa_mode
-            )
-        _emit(args, est.to_json(indent=2))
-        return EXIT_OK
-    except (OutsideDomain, NearSingular, ResolventDegenerate) as exc:
-        return _fail(f"placement error: {exc}", EXIT_PLACEMENT)
-    except AnisompError as exc:
-        return _fail(f"solver failure: {exc}", EXIT_SOLVER)
+    data = _read_data(args.data)
+    v = _unit_vector(args.vector, data.shape[0])
+    # Sigma of raw data is unknown; the model only labels the ensemble
+    ens = SampleEnsemble.from_data(PopulationModel.identity(data.shape[0]), data)
+    estimator = estimate_spike_strength if args.method == "spike" else estimate_population_eigenvalue
+    est = estimator(ens, v, args.E, alpha=args.alpha, kappa_mode=args.kappa_mode)
+    _emit(args, est.to_json(indent=2))
+    return EXIT_OK
 
 
 def cmd_sphericity(args) -> int:
-    try:
-        data = _read_data(args.data)
-        n, _ = data.shape
-        u = _unit_vector(args.u, n)
-        v = _unit_vector(args.v, n)
-    except (OSError, ValueError) as exc:
-        return _fail(f"error: {exc}", EXIT_PARSE)
-    try:
-        verdict = sphericity_test(data, u, v, E_margin=args.margin, omega=args.omega)
-        _emit(args, verdict.to_json(indent=2))
-        return EXIT_OK
-    except ValueError as exc:
-        return _fail(f"error: {exc}", EXIT_PARSE)
-    except AnisompError as exc:
-        return _fail(f"error: {exc}", EXIT_SOLVER)
+    data = _read_data(args.data)
+    u, v = (_unit_vector(spec, data.shape[0]) for spec in (args.u, args.v))
+    verdict = sphericity_test(data, u, v, E_margin=args.margin, omega=args.omega)
+    _emit(args, verdict.to_json(indent=2))
+    return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
-    # precedence: explicit flags > config file > defaults
-    settings = {"seed": 1, "trials": None, "out_dir": ".", "full": False}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                settings.update(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            return _fail(f"error: {exc}", EXIT_PARSE)
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    if args.trials is not None:
-        settings["trials"] = args.trials
-    if args.out_dir is not None:
-        settings["out_dir"] = args.out_dir
-    if args.full:
-        settings["full"] = True
+    settings = _reproduce_settings(args)
+    workers = int(os.environ.get("ANISOMP_WORKERS", "1")) if args.workers is None else args.workers
     failed = 0
     for name in args.names:
-        try:
-            reports, bands = reproduce(
-                name,
-                seed=int(settings["seed"]),
-                full=bool(settings["full"]),
-                trials=settings["trials"],
-                out_dir=settings["out_dir"],
-                workers=_workers(args),
-            )
-        except ValueError as exc:
-            return _fail(f"error: {exc}", EXIT_PARSE)
-        except AnisompError as exc:  # e.g. BudgetExceeded
-            return _fail(f"error: {exc}", EXIT_SOLVER)
+        reports, bands = reproduce(name, **settings, workers=workers)
         for band in bands:
-            status = "PASS" if band.passed else "FAIL"
-            if not band.passed:
-                failed += 1
-            print(f"[{status}] {band.description}: observed {band.observed:.4g} "
-                  f"(bound {band.bound})")
+            failed += not band.passed
+            print(f"[{'PASS' if band.passed else 'FAIL'}] {band.description}: "
+                  f"observed {band.observed:.4g} (bound {band.bound})")
         for rep in reports:
             print(f"report: {rep.name} seed={rep.master_seed} trials={rep.trial_count} "
                   f"wall={rep.wall_clock:.1f}s -> {settings['out_dir']}")
@@ -320,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum", help="population spectrum file (header d_N=..)")
     p.add_argument("--identity", action="store_true", help="use the flat spectrum")
     p.add_argument("--d", type=float, help="aspect ratio n/N for --identity")
-    p.add_argument("--n", type=int, help="population dimension for --identity")
-    p.add_argument("--N", type=int, help="sample count (enables counts and gamma)")
+    p.add_argument("--n", type=_positive_int, help="population dimension for --identity")
+    p.add_argument("--N", type=_positive_int, help="sample count (enables counts and gamma)")
     p.add_argument("--grid", help="energy grid start:step:stop")
     p.add_argument("--eta", type=float, default=0.0, help="imaginary part (0 = boundary)")
     p.add_argument("--edges-only", action="store_true", help="emit support edges as JSON")
@@ -332,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum", help="population spectrum file")
     p.add_argument("--identity", action="store_true")
     p.add_argument("--d", type=float)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--N", type=int)
+    p.add_argument("--n", type=_positive_int, default=2)
+    p.add_argument("--N", type=_positive_int)
     p.add_argument("--mode", default="outside", choices=("outside", "global", "variance"))
     p.add_argument("--E", type=float, default=4.0)
     p.add_argument("--z1", help="complex like '4+1j' (global mode)")
@@ -376,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"one or more of {', '.join(REPRODUCIBLE_NAMES)}, run in turn",
     )
     p.add_argument("--seed", type=int, help="master seed (default 1)")
-    p.add_argument("--full", action="store_true", help="full-scale sizes (n = 2000, 10^3 table trials)")
+    p.add_argument("--full", action="store_true", default=None, help="full-scale sizes (n = 2000, 10^3 table trials)")
     p.add_argument("--trials", type=int, help="override the per-cell trial count")
     p.add_argument("--out-dir", help="directory for report files (default .)")
     p.add_argument("--config", help="JSON file with default seed/trials/out_dir/full")
@@ -386,9 +347,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; the one place a failure becomes an exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        message, code = f"error: {exc}", EXIT_PARSE
+    except (OutsideDomain, NearSingular, ResolventDegenerate) as exc:
+        message, code = f"placement error: {exc}", EXIT_PLACEMENT
+    except AnisompError as exc:
+        message, code = f"solver failure: {exc}", EXIT_SOLVER
+    print(" ".join(message.splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

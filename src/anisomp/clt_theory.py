@@ -60,8 +60,9 @@ class TestFunction:
     """A C^1 test function on the positive half-line.
 
     ``bump``: exp(1 - 1/(1-u^2)) on |u| < 1 with u = (x-center)/width, zero
-    elsewhere.  ``poly_gauss``: p(u) * exp(-u^2) restricted to x > 0 (support
-    treated as |u| <= 8 for quadrature purposes).
+    elsewhere.  ``poly_gauss``: p(u) * exp(-u^2) restricted to x > 0, so its
+    support is [max(center - 8 width, 0), center + 8 width]: the cut at
+    x = 0 is an end of every rule that integrates it.
     """
 
     kind: str = "bump"
@@ -77,8 +78,9 @@ class TestFunction:
 
     @property
     def support(self) -> tuple[float, float]:
-        half = self.width if self.kind == "bump" else 8.0 * self.width
-        return self.center - half, self.center + half
+        if self.kind == "bump":
+            return self.center - self.width, self.center + self.width
+        return max(self.center - 8.0 * self.width, 0.0), self.center + 8.0 * self.width
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -248,8 +250,11 @@ def resolvent_covariance(
     ``local``: the indicator-gated bulk covariance at real E with scale
     directions w1, w2.  ``outside``: the real variance kernel at E at least
     TAU off the support (raises OutsideDomain otherwise), alpha_hat +
-    beta_hat at (E, E).  Each point's m is solved once.
+    beta_hat at (E, E).  Each point's m is solved once.  A point that is
+    not finite raises ValueError.
     """
+    if not all(np.isfinite(complex(x)) for x in (E, z1, z2, w1, w2) if x is not None):
+        raise ValueError(f"spectral points must be finite, got E={E}, z1={z1}, z2={z2}")
     if mode == "local":
         if E is None or w1 is None or w2 is None:
             raise ValueError("local mode needs E, w1, w2")

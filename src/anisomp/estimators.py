@@ -131,6 +131,12 @@ def _kappa_term(ens: SampleEnsemble, v: np.ndarray, mode: str) -> float:
     return float(np.max(np.maximum(np.asarray(prof.values), 0.0)))
 
 
+def _require_finite(E: float, alpha: float) -> None:
+    """Both estimators take a finite E and a finite alpha > 0 (ValueError)."""
+    if not (math.isfinite(E) and math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"E must be finite and alpha finite and > 0, got E={E}, alpha={alpha}")
+
+
 def estimate_spike_strength(
     ens: SampleEnsemble,
     v: np.ndarray,
@@ -146,6 +152,7 @@ def estimate_spike_strength(
     Stieltjes transform; valid below the outlier threshold where the sample
     spectrum carries no trace of the spike.
     """
+    _require_finite(E, alpha)
     v = as_unit_vector(v)
     d = ens.n / ens.N
     lam_plus, _ = null_mp_edges(d)
@@ -169,6 +176,7 @@ def estimate_population_eigenvalue(
     lambda_1 and the plug-in estimates read the eigenvalues (one ``eigvalsh``),
     and R_vv(E) comes from one Cholesky factor, both from the draw's one Gram
     matrix: no ``eigh``."""
+    _require_finite(E, alpha)
     v = as_unit_vector(v)
     if E <= ens.lambda_1 + min_gap:
         raise OutsideDomain(f"E = {E} not above lambda_1 + {min_gap} = {ens.lambda_1 + min_gap}")

@@ -628,9 +628,13 @@ def reproduce(
     out_dir: str | None = None,
     workers: int = 1,
 ) -> tuple[list[ExperimentReport], list[BandResult]]:
-    """Run one reproduction preset and evaluate its acceptance bands."""
+    """Run one reproduction preset and evaluate its acceptance bands.  An
+    unknown name or fewer than one worker raises ValueError, and so does a
+    trial count below 30 (``None`` takes the preset's count)."""
     if name not in REPRODUCIBLE_NAMES:
         raise ValueError(f"unknown reproduction {name!r}; choose from {REPRODUCIBLE_NAMES}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     reports, bands = _PRESETS[name](seed, full, trials, workers)
     if out_dir:
         for rep in reports:
@@ -654,7 +658,7 @@ def _table_config(name, cells, seed, full, trials, workers) -> ExperimentConfig:
         model=PopulationModel.identity(500),
         distribution=EntryDistribution.gaussian(),
         N=1000,
-        trial_count=trials or (1000 if full else 200),
+        trial_count=(1000 if full else 200) if trials is None else trials,
         master_seed=seed,
         cells=cells,
         omega=0.05,
@@ -721,7 +725,7 @@ def _figure_config(name, dist, mode, E, sigma_grid, seed, full, trials, workers)
 
 
 def _reproduce_figure1(seed, full, trials, workers):
-    t = trials or 500
+    t = 500 if trials is None else trials
     reports, bands = [], []
     floor = 0.93 if full else 0.90
     for dist in (EntryDistribution.gaussian(), EntryDistribution.rademacher()):
@@ -747,7 +751,8 @@ def _reproduce_figure1(seed, full, trials, workers):
 def _reproduce_figure2(seed, full, trials, workers):
     gaussian = EntryDistribution.gaussian()
     cfg = _figure_config(
-        "figure2", gaussian, "population", 6.0, (0.5, 1.0, 1.5), seed, full, trials or 200, workers
+        "figure2", gaussian, "population", 6.0, (0.5, 1.0, 1.5), seed, full,
+        200 if trials is None else trials, workers
     )
     rep = run_coverage(cfg)
     return [rep], [_bias_band(rep, sigma, "population-estimator") for sigma in cfg.sigma_grid]

@@ -44,8 +44,8 @@ class FourthCumulantProfile:
         if self.mode not in ("constant", "per_row"):
             raise ValueError(f"unknown cumulant mode {self.mode!r}")
         vals = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if np.any(vals < -2.0):
-            raise ValueError("fourth cumulants are bounded below by -2")
+        if not np.all(np.isfinite(vals) & (vals >= -2.0)):
+            raise ValueError("fourth cumulants must be finite and are bounded below by -2")
         if self.mode == "per_row":
             object.__setattr__(self, "values", tuple(float(v) for v in vals))
         else:

@@ -512,3 +512,260 @@ class TestReproduce:
         main(["reproduce", "figure2", "--config", str(cfg), "--seed", "6"])
         capsys.readouterr()
         assert (tmp_path / "c" / "figure2_6.json").exists()
+
+
+def _unwritable(tmp_path):
+    """A path below a regular file: no process can create it."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return str(blocker / "out.json")
+
+
+class TestExitMapping:
+    """``main`` turns every failure into one exit code and one stderr line:
+    OSError and ValueError 2, a placement error 4, any other package error 3."""
+
+    @pytest.fixture
+    def data_file(self, tmp_path):
+        path = tmp_path / "data.bin"
+        write_matrix(path, np.random.default_rng(0).standard_normal((20, 40)) / math.sqrt(40))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mp-law", "--identity", "--d", "0.5", "--grid", "1:1:2"],
+            ["clt-kernel", "--identity", "--d", "0.5"],
+            ["estimate", "--data", "DATA", "--E", "4"],
+            ["sphericity", "--data", "DATA"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_exit_two(self, argv, data_file, tmp_path, capsys):
+        argv = [data_file if x == "DATA" else x for x in argv]
+        code, out, err = run_cli([*argv, "--out", _unwritable(tmp_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_unwritable_out_dir_exit_two(self, monkeypatch, tmp_path, capsys):
+        from anisomp import experiments
+
+        def preset(seed, full, trials, workers):
+            rep = experiments.ExperimentReport(name="table1", master_seed=seed, trial_count=1, config={})
+            return [rep], []
+
+        monkeypatch.setitem(experiments._PRESETS, "table1", preset)
+        code, out, err = run_cli(["reproduce", "table1", "--out-dir", _unwritable(tmp_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["clt-kernel", "--identity", "--d", "0.5", "--mode", "global", "--z1", "garbage"],
+            ["clt-kernel", "--identity", "--d", "0.5", "--kappa", "nan"],
+            ["clt-kernel", "--identity", "--d", "0.5", "--E", "nan"],
+            ["clt-kernel", "--identity", "--d", "0.5", "--E", "inf"],
+            ["clt-kernel", "--identity", "--d", "0.5", "--mode", "global", "--z1", "nan+1j"],
+            ["mp-law", "--identity", "--d", "inf", "--grid", "1:1:2"],
+            ["estimate", "--data", "DATA", "--E", "4", "--alpha", "nan"],
+            ["estimate", "--data", "DATA", "--E", "4", "--alpha", "0"],
+            ["estimate", "--data", "DATA", "--E", "4", "--alpha", "-1"],
+            ["estimate", "--data", "DATA", "--E", "inf"],
+            ["estimate", "--data", "DATA", "--E", "nan", "--method", "population"],
+            ["estimate", "--data", "NAN_DATA", "--E", "4"],
+            ["sphericity", "--data", "NAN_DATA"],
+        ],
+    )
+    def test_bad_number_exit_two(self, argv, data_file, tmp_path, capsys):
+        bad = np.random.default_rng(0).standard_normal((20, 40))
+        bad[3, 5] = np.nan
+        write_matrix(tmp_path / "nan.bin", bad)
+        files = {"DATA": data_file, "NAN_DATA": str(tmp_path / "nan.bin")}
+        code, out, err = run_cli([files.get(x, x) for x in argv], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_near_singular_sphericity_exit_four(self, data_file, capsys):
+        code, out, err = run_cli(["sphericity", "--data", data_file, "--margin", "1e-9"], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("placement error: ") and len(err.splitlines()) == 1
+
+    def test_reproduce_solver_failure_prefix(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["reproduce", "table1", "--trials", "10000000", "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == 3
+        assert err.startswith("solver failure: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mp-law", "--identity", "--d", "0.5", "--edges-only", "--N", "0"],
+            ["mp-law", "--identity", "--d", "0.5", "--n", "0", "--grid", "1:1:2"],
+            ["clt-kernel", "--identity", "--d", "0.5", "--N", "0"],
+            ["clt-kernel", "--identity", "--d", "0.5", "--n", "-1"],
+        ],
+    )
+    def test_zero_count_is_not_the_default(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags, env",
+        [(["--workers", "0"], None), (["--workers", "-1"], None), ([], "0"), (["--trials", "0"], None)],
+    )
+    def test_reproduce_count_below_one_exit_two(self, flags, env, monkeypatch, tmp_path, capsys):
+        from anisomp import experiments
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_map_trials", fail)
+        if env is not None:
+            monkeypatch.setenv("ANISOMP_WORKERS", env)
+        code, out, err = run_cli(["reproduce", "table1", "--out-dir", str(tmp_path), *flags], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+
+
+class TestReproduceConfig:
+    """The --config file is one JSON object of known, typed settings."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1]",
+            '"seed"',
+            '{"trials": "x"}',
+            '{"full": "false"}',
+            '{"trails": 30}',
+            '{"seed": true}',
+            '{"seed": 5.0}',
+            '{"trials": 30.5}',
+            '{"out_dir": 3}',
+            "{not json",
+        ],
+    )
+    def test_bad_config_exit_two(self, text, monkeypatch, tmp_path, capsys):
+        from anisomp import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "reproduce", TestReproduce.fake_reproduce(calls))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run_cli(["reproduce", "table1", "--config", str(cfg)], capsys)
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_flags_over_config_over_defaults(self, monkeypatch, tmp_path, capsys):
+        from anisomp import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "reproduce", TestReproduce.fake_reproduce(calls))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5, "trials": None, "full": True}))
+        argvs = [
+            ["reproduce", "table1"],
+            ["reproduce", "table1", "--config", str(cfg)],
+            ["reproduce", "table1", "--config", str(cfg), "--seed", "0", "--trials", "40", "--out-dir", "x"],
+        ]
+        for argv in argvs:
+            assert run_cli(argv, capsys)[0] == 0
+        settings = [{k: kw[k] for k in ("seed", "trials", "out_dir", "full")} for _, kw in calls]
+        assert settings == [
+            {"seed": 1, "trials": None, "out_dir": ".", "full": False},
+            {"seed": 5, "trials": None, "out_dir": ".", "full": True},
+            {"seed": 0, "trials": 40, "out_dir": "x", "full": True},
+        ]
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+HOSTILE = ["nan", "inf", "0", "-1", "text", "1+2j", "@MISSING", "UNWRITABLE"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 10**6) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+CONFIGS = JSON_VALUES | st.dictionaries(
+    st.sampled_from(["seed", "trials", "out_dir", "full", "trails"]), JSON_VALUES, max_size=4
+)
+
+
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@pytest.mark.filterwarnings("error")
+class TestMainContract:
+    """Valid small argv for every subcommand with one flag's value replaced
+    by a hostile token: ``main`` exits 0, 2, 3, 4 or 5 (or argparse exits 2),
+    writes at most one stderr line and no traceback, and on success writes
+    strict JSON or the mp-law CSV."""
+
+    @staticmethod
+    def argvs(tmp_path):
+        data = tmp_path / "data.bin"
+        write_matrix(data, np.random.default_rng(3).standard_normal((20, 40)) / math.sqrt(40))
+        spec = tmp_path / "spec.txt"
+        a.write_spectrum_file(spec, a.PopulationSpectrum((4.0,) * 2 + (1.0,) * 8, 0.2))
+        kernel = ["clt-kernel", "--identity", "--d", "0.5", "--n", "4", "--v1", "e1", "--v2", "e", "--kappa", "0.5"]
+        return [
+            ["mp-law", "--identity", "--d", "0.5", "--n", "4", "--N", "8", "--grid", "1:0.5:2", "--eta", "0"],
+            ["mp-law", "--spectrum", str(spec), "--edges-only", "--N", "50"],
+            [*kernel, "--mode", "global", "--E", "3", "--z1", "4+1j", "--z2", "3-0.5j"],
+            [*kernel, "--mode", "outside", "--E", "4"],
+            [*kernel, "--mode", "variance", "--E", "4"],
+            ["estimate", "--data", str(data), "--vector", "e1", "--E", "4", "--alpha", "2",
+             "--method", "population", "--kappa-mode", "pooled"],
+            ["estimate", "--data", str(data), "--vector", "e", "--E", "4", "--method", "spike"],
+            ["sphericity", "--data", str(data), "--u", "e1", "--v", "e2", "--omega", "0.05", "--margin", "1"],
+            ["reproduce", "table1", "--seed", "1", "--trials", "30", "--out-dir", "reports",
+             "--workers", "1", "--config", "cfg.json"],
+        ]
+
+    @given(data=st.data())
+    @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_one_hostile_value(self, data, tmp_path, monkeypatch, capsys):
+        from anisomp import cli
+
+        monkeypatch.setattr(cli, "reproduce", TestReproduce.fake_reproduce([]))
+        argv = data.draw(st.sampled_from(self.argvs(tmp_path)))
+        flags = [i for i in range(1, len(argv) - 1) if argv[i].startswith("--") and not argv[i + 1].startswith("--")]
+        if argv[0] != "reproduce":
+            argv.extend(["--out", "out.txt"])
+            flags.append(len(argv) - 2)
+        at = data.draw(st.sampled_from(flags)) + 1
+        token = data.draw(st.sampled_from(HOSTILE))
+        argv[at] = {"@MISSING": f"@{tmp_path / 'missing.txt'}", "UNWRITABLE": _unwritable(tmp_path)}.get(token, token)
+        work = tmp_path / f"work{len(list(tmp_path.glob('work*')))}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        if argv[0] == "reproduce":
+            (work / "cfg.json").write_text(json.dumps(data.draw(CONFIGS)))
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the command line
+            assert exc.code == 2
+            return
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4, 5)
+        assert len(err.splitlines()) <= 1 and "Traceback" not in err
+        if code != 0:
+            return
+        if argv[0] == "reproduce":
+            assert all(ln.startswith(("[PASS]", "report:")) for ln in out.splitlines())
+            return
+        text = (work / argv[-1]).read_text() if argv[-2] == "--out" else out
+        if argv[0] == "mp-law" and "--grid" in argv:
+            lines = text.splitlines()
+            assert lines[0] == "E,rho2c,re_m,im_m"
+            assert all(len(row) == 4 and all(math.isfinite(float(x)) for x in row)
+                       for row in (ln.split(",") for ln in lines[1:]))
+        else:
+            _strict_json(text)

@@ -803,3 +803,50 @@ class TestLiveNodes:
             for f, g in ((gap, beyond), (gap, gap), (beyond, beyond)):
                 cov = a.linear_stat_covariance("global", f, g, v, v, 0.0, 1.0, pop, K4.constant(1.3))
                 assert (cov.value, cov.error_estimate) == (0.0, 0.0)
+
+
+class TestNonFiniteInputs:
+    """Numbers that are not finite are refused where they enter the library."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_cumulant_profile(self, bad):
+        with pytest.raises(ValueError):
+            K4.constant(bad)
+        with pytest.raises(ValueError):
+            K4.per_row(np.array([0.0, bad]))
+
+    @pytest.mark.parametrize(
+        "mode, point",
+        [
+            ("outside", {"E": math.nan}),
+            ("outside", {"E": math.inf}),
+            ("global", {"z1": complex(math.nan, 1.0), "z2": 4 - 1j}),
+            ("global", {"z1": 4 + 1j, "z2": complex(math.inf, -1.0)}),
+        ],
+    )
+    def test_resolvent_covariance_points(self, mode, point):
+        with pytest.raises(ValueError):
+            a.resolvent_covariance(mode, _pop(), _unit(6), _unit(6), kappa=K4.gaussian(), **point)
+
+
+class TestPolyGaussCut:
+    """poly_gauss is 0 where its argument is <= 0: its support starts there,
+    so a local rule does not integrate across the jump."""
+
+    def test_support_starts_at_the_cut(self):
+        f = a.TestFunction(kind="poly_gauss", center=0.5, width=1.0)
+        assert f.support == (0.0, 8.5)
+        far = a.TestFunction(kind="poly_gauss", center=10.0, width=1.0)
+        assert far.support == (2.0, 18.0)
+
+    def test_local_covariance_with_itself(self):
+        from scipy.integrate import quad
+
+        f = a.TestFunction(kind="poly_gauss", center=0.5, width=1.0)
+        pop, v, E = _pop(n=10, N=20), _unit(10), 1.2
+        got = a.linear_stat_covariance("local", f, f, v, v, E, 0.0, pop, K4.gaussian())
+        m = a.null_mp_m2c(E, 0.5)
+        ff = quad(lambda u: f(u) ** 2, 0.0, 8.5, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        want = 2.0 * (m.imag / math.pi) / E**2 / abs(1 + m) ** 4 * ff
+        assert got.value == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert abs(got.value - want) <= got.error_estimate

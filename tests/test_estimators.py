@@ -424,3 +424,17 @@ def _rescaled_copy_sphericity(A, u, v, margin):
     W2 = W * W
     out["kappa4_max"] = float(np.max(N * np.sum(W2 * W2, axis=1) - 3.0))
     return out
+
+
+class TestNonFiniteInputs:
+    """Both estimators take a finite E and a finite alpha > 0."""
+
+    @pytest.mark.parametrize(
+        "E, alpha",
+        [(math.nan, 2.0), (math.inf, 2.0), (-math.inf, 2.0), (4.0, math.nan), (4.0, 0.0), (4.0, -1.0)],
+    )
+    @pytest.mark.parametrize("estimator", [a.estimate_spike_strength, a.estimate_population_eigenvalue])
+    def test_rejected(self, estimator, E, alpha):
+        ens = _spiked_ensemble(n=40, N=80)
+        with pytest.raises(ValueError):
+            estimator(ens, _e(40), E, alpha=alpha)

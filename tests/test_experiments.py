@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 import anisomp as a
 from anisomp import clt_theory
 from anisomp.experiments import (
+    REPRODUCIBLE_NAMES,
     SphericityCell,
     _kolmogorov_sf,
     _normal_cdf,
     _pair_vectors,
+    reproduce,
     run_clt_check,
     run_coverage,
     run_linear_stat_check,
@@ -359,3 +361,27 @@ class TestReportPlumbing:
         rows = csv_path.read_text().strip().splitlines()
         assert rows[0].startswith("trial,")
         assert len(rows) == 31
+
+
+class TestReproduceCounts:
+    """A count given from outside is used as given: 0 trials or workers is an
+    error, never the preset's default, and no trial runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_trials(self, monkeypatch):
+        from anisomp import experiments
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_map_trials", fail)
+
+    @pytest.mark.parametrize("name", REPRODUCIBLE_NAMES)
+    def test_zero_trials(self, name):
+        with pytest.raises(ValueError):
+            reproduce(name, trials=0)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one(self, workers):
+        with pytest.raises(ValueError):
+            reproduce("table1", trials=30, workers=workers)

@@ -103,3 +103,28 @@ def test_import_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_only_cli_main_catches_package_errors():
+    # cli.main is the one place that turns a failure into an exit code: no
+    # other function of cli.py names a package error (or a base class of
+    # them all) in an except clause
+    from anisomp import cli, errors
+
+    caught = {"Exception", "BaseException"} | {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.AnisompError)
+    }
+    catchers = set()
+    for fn in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ExceptHandler):
+                names = {"BaseException"} if node.type is None else {
+                    n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(node.type) if isinstance(n, (ast.Name, ast.Attribute))
+                }
+                if names & caught:
+                    catchers.add(fn.name)
+    assert catchers == {"main"}

@@ -456,6 +456,27 @@ class TestCenteringIntegral:
         assert want > 0.0
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("d", [0.5, 2.0])
+    def test_poly_gauss_cut_at_E(self, d):
+        # poly_gauss(0.5, 1) of (x - E)/eta is 0 for x <= E and jumps at E
+        from scipy.integrate import quad
+
+        from anisomp.matrix_models import _centering_integral
+
+        f = a.TestFunction(kind="poly_gauss", center=0.5, width=1.0)
+        E, eta = 1.0, self.ETA6
+        lp, lm = a.null_mp_edges(d)
+
+        def integrand(x):
+            return float(f((x - E) / eta)) * math.sqrt((x - lm) * (lp - x)) / (2 * math.pi * d * x)
+
+        want = quad(
+            integrand, lm, lp, points=[E, E + 8.5 * eta], epsabs=0.0, epsrel=1e-13, limit=400
+        )[0]
+        got = _centering_integral(a.PopulationSpectrum.identity(10, d), (1.0,), (1.0,), f, E, eta)
+        assert want > 0.0
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
 
 class TestPlugInStieltjes:
     def test_direct_example(self):
